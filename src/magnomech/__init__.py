@@ -28,6 +28,7 @@ from .ep import (
     build_hamiltonian,
     discriminant,
     eigenpairs,
+    eigenvalues,
     find_exceptional_points,
     hamiltonian_on_plane,
     monodromy_swapped,
@@ -41,7 +42,6 @@ from .model import (
     SystemConfig,
     critical_mode,
     effective_couplings,
-    steady_tm_amplitude,
     susceptibility,
     te_susceptibility,
 )
@@ -91,6 +91,7 @@ __all__ = [
     "discriminant",
     "effective_couplings",
     "eigenpairs",
+    "eigenvalues",
     "energy_fractions",
     "evolve",
     "find_exceptional_points",
@@ -107,7 +108,6 @@ __all__ = [
     "sigma_mr",
     "sigma_rm",
     "sigma_rr",
-    "steady_tm_amplitude",
     "susceptibility",
     "sweep_self_energy",
     "te_susceptibility",

@@ -10,7 +10,9 @@ Commands
 
 Exit codes: 0 success, 2 configuration error, 3 numeric failure.
 Outputs are deterministic: rerunning a command line reproduces the data
-sections byte for byte at any --jobs value.
+sections byte for byte. --jobs is validated (at least 1) and kept for
+compatibility, but every command runs single-threaded: each grid is one
+library call.
 """
 
 from __future__ import annotations
@@ -19,7 +21,6 @@ import argparse
 import copy
 import json
 import sys
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 
 import numpy as np
@@ -35,7 +36,7 @@ CONFIG_SCALARS = ("conjugation_convention", "sigma_eval_frequency")
 # run-parameter allowlist per command; dotted keys address nested maps
 RUN_KEYS = {
     "coupling": set(),
-    "self-energy": {"which", "diagonal", "tm_grid", "te_grid", "plot_component", "parts", "eval_omega"},
+    "self-energy": {"which", "diagonal", "tm_grid", "te_grid", "parts", "eval_omega"},
     "spectrum": {"swept", "omega_grid", "detuning_grid", "noise.unit_psd", "noise.channels"},
     "surface": {"p_grid", "delta_grid", "region", "seeds_per_axis", "tie", "reference_frequency",
                 "near_ep_rel"},
@@ -64,7 +65,6 @@ class RunSpec:
     config: SystemConfig
     run_params: dict
     out_stem: str
-    jobs: int
     formats: tuple
 
 
@@ -79,7 +79,8 @@ def build_parser():
         p.add_argument("--set", dest="overrides", action="append", default=[],
                        metavar="KEY=VALUE", help="override one config or run key (repeatable)")
         p.add_argument("--out", default=None, help="output base path (extension optional)")
-        p.add_argument("--jobs", type=int, default=1, help="worker count; never changes output bytes")
+        p.add_argument("--jobs", type=int, default=1,
+                       help="accepted for compatibility (must be >= 1); runs are single-threaded")
         p.add_argument("--format", default="csv", help="comma list from {csv,json}")
     return parser
 
@@ -190,7 +191,7 @@ def make_runspec(args) -> RunSpec:
         if stem.endswith(ext):
             stem = stem[: -len(ext)]
     return RunSpec(command=command, preset=args.preset, config=config, run_params=run_params,
-                   out_stem=stem, jobs=args.jobs, formats=formats)
+                   out_stem=stem, formats=formats)
 
 
 def _linspace(triplet, name):
@@ -204,19 +205,25 @@ def _linspace(triplet, name):
     return np.linspace(float(lo), float(hi), n)
 
 
-def _parallel_rows(func, items, jobs):
-    if jobs <= 1 or len(items) <= 1:
-        return [func(item) for item in items]
-    with ThreadPoolExecutor(max_workers=jobs) as pool:
-        return list(pool.map(func, items))
-
-
 def _meta(spec, extra=None):
     return output.metadata_block(spec.command, spec.preset, spec.config, spec.run_params, extra)
 
 
 def _artifact(spec, suffix, ext):
     return f"{spec.out_stem}{suffix}.{ext}"
+
+
+def _write_table(spec, suffix, columns, table, extra=None, json_rows=None):
+    """Write a table as CSV and/or JSON {"columns", "rows"}, per --format; return the paths."""
+    written = []
+    if "csv" in spec.formats:
+        written.append(_artifact(spec, suffix, "csv"))
+        output.write_csv(written[-1], columns, table, _meta(spec, extra))
+    if "json" in spec.formats:
+        written.append(_artifact(spec, suffix, "json"))
+        output.write_json(written[-1], {"columns": columns, "rows": table if json_rows is None else json_rows},
+                          _meta(spec, extra))
+    return written
 
 
 def _run_coupling(spec: RunSpec):
@@ -247,27 +254,11 @@ def _run_self_energy(spec: RunSpec):
     written = []
     for part in parts:
         suffix = f"_{part}" if len(parts) > 1 else ""
-        if diagonal:
-            points = self_energy.sweep_self_energy(spec.config, tm_grid, te_grid, part,
-                                                   eval_omega=eval_omega, diagonal=True)
-        else:
-            def one_row(d_tm, _part=part):
-                return self_energy.sweep_self_energy(spec.config, [d_tm], te_grid, _part,
-                                                     eval_omega=eval_omega)
-            rows = _parallel_rows(one_row, list(tm_grid), spec.jobs)
-            points = [pt for row in rows for pt in row]
+        points = self_energy.sweep_self_energy(spec.config, tm_grid, te_grid, part,
+                                               eval_omega=eval_omega, diagonal=diagonal)
         table = [[pt.delta_tm, pt.delta_te, pt.sigma.real, pt.sigma.imag] for pt in points]
         extra = {"component": part, "sweep": "diagonal" if diagonal else "grid"}
-        if "csv" in spec.formats:
-            path = _artifact(spec, suffix, "csv")
-            output.write_csv(path, ["delta_tm", "delta_te", "re_sigma", "im_sigma"], table,
-                             _meta(spec, extra))
-            written.append(path)
-        if "json" in spec.formats:
-            path = _artifact(spec, suffix, "json")
-            output.write_json(path, {"columns": ["delta_tm", "delta_te", "re_sigma", "im_sigma"],
-                                     "rows": table}, _meta(spec, extra))
-            written.append(path)
+        written += _write_table(spec, suffix, ["delta_tm", "delta_te", "re_sigma", "im_sigma"], table, extra)
     return written
 
 
@@ -288,13 +279,8 @@ def _run_spectrum(spec: RunSpec):
     omega_grid = _linspace(run["omega_grid"], "omega_grid")
     detuning_grid = _linspace(run["detuning_grid"], "detuning_grid")
     swept = run.get("swept", "TE")
-    noise = _noise_from_run(run)
-
-    def one_row(det):
-        return spectrum.psd_map(spec.config, omega_grid, [det], swept=swept, noise=noise)
-
-    rows = _parallel_rows(one_row, list(detuning_grid), spec.jobs)
-    points = [pt for row in rows for pt in row]
+    points = spectrum.psd_map(spec.config, omega_grid, detuning_grid, swept=swept,
+                              noise=_noise_from_run(run))
     extra = {"swept": swept}
     written = []
     if "csv" in spec.formats:
@@ -304,7 +290,8 @@ def _run_spectrum(spec: RunSpec):
         written.append(path)
     if "json" in spec.formats:
         path = _artifact(spec, "", "json")
-        matrix = [[pt.psd for pt in row] for row in rows]
+        n = omega_grid.size
+        matrix = [[pt.psd for pt in points[k:k + n]] for k in range(0, len(points), n)]
         output.write_json(path, {"omega": list(map(float, omega_grid)),
                                  "detuning": list(map(float, detuning_grid)),
                                  "psd": matrix}, _meta(spec, extra))
@@ -349,18 +336,10 @@ def _run_surface(spec: RunSpec):
                           bool(surf.near_ep[i, j])])
     extra = {"reference_frequency": repr(float(ref)),
              "note": "re_lambda columns are offsets from reference_frequency"}
-    written = []
     columns = ["p_in", "delta", "re_lambda_1", "im_lambda_1", "re_lambda_2", "im_lambda_2",
                "near_ep_flag"]
-    if "csv" in spec.formats:
-        path = _artifact(spec, "", "csv")
-        output.write_csv(path, columns, table, _meta(spec, extra))
-        written.append(path)
-    if "json" in spec.formats:
-        path = _artifact(spec, "", "json")
-        output.write_json(path, {"columns": columns, "rows": [row[:-1] + [int(row[-1])] for row in table]},
-                          _meta(spec, extra))
-        written.append(path)
+    written = _write_table(spec, "", columns, table, extra,
+                           json_rows=[row[:-1] + [int(row[-1])] for row in table])
     records = _ep_records(spec, _region_from_run(run), tie)
     path = _artifact(spec, "_eps", "json")
     output.write_json(path, records, _meta(spec, {"count": str(len(records))}))
@@ -412,14 +391,9 @@ def _run_encircle(spec: RunSpec):
     tie = bool(run.get("tie", False))
     rtol = float(run.get("rtol", 1e-8))
     carrier = float(run.get("carrier_offset", 1e9))
-
-    def evolve_one(one_loop):
-        return enc.evolve(one_loop, spec.config, rtol=rtol, carrier_offset=carrier,
-                          tie_tm_detuning=tie)
-
-    loops = [loop, loop.reversed()]
-    trajectories = _parallel_rows(evolve_one, loops, min(spec.jobs, 2))
-    primary, reverse = trajectories
+    primary, reverse = (enc.evolve(one_loop, spec.config, rtol=rtol, carrier_offset=carrier,
+                                   tie_tm_detuning=tie)
+                        for one_loop in (loop, loop.reversed()))
     align = int(round(loop.samples * float(run.get("align_shift_fraction", 0.5))))
     report = enc.chirality_report(primary, reverse, align_shift=align,
                                   slope_threshold=float(run.get("slope_threshold", 0.5)))
@@ -427,15 +401,7 @@ def _run_encircle(spec: RunSpec):
     written = []
     for traj, suffix in ((primary, ""), (reverse, "_reverse")):
         extra = {"direction": traj.loop.direction, "period": repr(float(traj.loop.period))}
-        if "csv" in spec.formats:
-            path = _artifact(spec, suffix, "csv")
-            output.write_csv(path, columns, _trajectory_table(traj), _meta(spec, extra))
-            written.append(path)
-        if "json" in spec.formats:
-            path = _artifact(spec, suffix, "json")
-            output.write_json(path, {"columns": columns, "rows": _trajectory_table(traj)},
-                              _meta(spec, extra))
-            written.append(path)
+        written += _write_table(spec, suffix, columns, _trajectory_table(traj), extra)
     path = _artifact(spec, "_chirality", "json")
     output.write_json(path, report.to_dict(), _meta(spec))
     written.append(path)

@@ -17,7 +17,8 @@ import logging
 import numpy as np
 
 from .errors import ConfigError, NumericsError
-from .model import SystemConfig, effective_couplings, te_susceptibility
+from .model import SystemConfig, _abs, _checked_grid, _every, _finite, _mul, _pump_coupling, susceptibility
+from .self_energy import _dressing, _mediated
 
 log = logging.getLogger(__name__)
 
@@ -73,6 +74,28 @@ def _eval_frequency(config):
     return 0.5 * (config.magnon.omega + config.phonon.omega)
 
 
+def _operator(config, strength_tm, strength_te, det_tm, det_te):
+    """Reduced matrix (..., 2, 2) over broadcast strengths and detunings, basis (phonon, magnon).
+
+    Scalars give one matrix; each cell of a stack carries the bits of its own point evaluation.
+    """
+    g_a = _pump_coupling(config.tm_photon, det_tm, strength_tm)
+    g_b = _pump_coupling(config.te_photon, det_te, strength_te)
+    w_eval = _eval_frequency(config)
+    gamma_te = config.te_photon.gamma
+    chi = susceptibility(gamma_te, -det_te, w_eval)
+    chi_ref = np.conj(susceptibility(gamma_te, -det_te, -w_eval))
+    args = (g_a, g_b, chi, chi_ref, config.conjugation_convention)
+    h = np.empty(np.broadcast_shapes(np.shape(g_a), np.shape(g_b)) + (2, 2), dtype=complex)
+    h[..., 0, 0] = config.phonon.omega - 0.5j * config.phonon.gamma + _dressing("rr", *args)
+    # conj(g_a)*g_b*chi; eliminating the 6x6 system of spectrum gives g_a*conj(g_b)*chi
+    # (sigma_rm) here instead, and the two differ unless g_a*conj(g_b) is real
+    h[..., 0, 1] = _mediated(np.conj(g_a), g_b, chi)
+    h[..., 1, 0] = _dressing("mr", *args)
+    h[..., 1, 1] = config.magnon.omega - 0.5j * config.magnon.gamma + _dressing("mm", *args)
+    return h
+
+
 def build_hamiltonian(config: SystemConfig) -> EffectiveHamiltonian:
     """Assemble the reduced matrix, basis order (phonon, magnon).
 
@@ -80,28 +103,24 @@ def build_hamiltonian(config: SystemConfig) -> EffectiveHamiltonian:
     mode; off-diagonal: the light-mediated couplings. All dressing terms
     are frozen at one evaluation frequency selected by the config.
     """
-    g = effective_couplings(config)
-    w_eval = _eval_frequency(config)
-    chi = te_susceptibility(config, w_eval)
-    chi_ref = np.conj(te_susceptibility(config, -w_eval))
-    ga_sq = (g.g_a**2 if config.conjugation_convention == "complex_squared" else abs(g.g_a) ** 2)
-    s = np.array([
-        [abs(g.g_b) ** 2 * (chi - chi_ref), np.conj(g.g_a) * g.g_b * chi],
-        [g.g_a * g.g_b * chi, ga_sq * chi],
-    ], dtype=complex)
-    bare = np.array([
-        [config.phonon.omega - 0.5j * config.phonon.gamma, 0],
-        [0, config.magnon.omega - 0.5j * config.magnon.gamma],
-    ], dtype=complex)
-    return EffectiveHamiltonian(h=bare - 1j * s, eval_freq=float(w_eval))
+    h = _operator(config, config.drive_tm.effective_strength, config.drive_te.effective_strength,
+                  config.drive_tm.detuning, config.drive_te.detuning)
+    return EffectiveHamiltonian(h=h, eval_freq=float(_eval_frequency(config)))
 
 
 def hamiltonian_on_plane(config_template: SystemConfig, p_in, delta,
                          tie_tm_detuning: bool = False) -> np.ndarray:
-    """Reduced matrix at one point of the (drive strength, TE detuning) plane."""
-    cfg = config_template.with_strengths(tm=p_in, te=p_in)
-    cfg = cfg.with_drive_detunings(te=delta, tm=delta if tie_tm_detuning else None)
-    return build_hamiltonian(cfg).h
+    """Reduced matrix on the (drive strength, TE detuning) plane, built without a config.
+
+    p_in and delta broadcast; the result has their shape plus (2, 2), so scalars give one matrix.
+    """
+    if not (_finite(p_in) and _finite(delta) and _every(p_in >= 0)):
+        raise ConfigError("plane points need finite drive strengths >= 0 and finite detunings")
+    det_tm = delta if tie_tm_detuning else config_template.drive_tm.detuning
+    h = _operator(config_template, p_in, p_in, det_tm, delta)
+    if not _finite(h):
+        raise NumericsError("effective 2x2 matrix evaluated non-finite")
+    return h
 
 
 def _as_matrix(h) -> np.ndarray:
@@ -110,10 +129,26 @@ def _as_matrix(h) -> np.ndarray:
     return np.asarray(h, dtype=complex)
 
 
-def discriminant(h) -> complex:
-    """Quadratic discriminant; the eigenvalues coalesce exactly at its zeros."""
-    h = _as_matrix(h)
-    return complex((h[0, 0] - h[1, 1]) ** 2 + 4 * h[0, 1] * h[1, 0])
+def _entries(h):
+    # a single matrix yields Python scalars (the point path), a stack yields arrays
+    if h.ndim == 2:
+        return h.ravel().tolist()
+    return h[..., 0, 0], h[..., 0, 1], h[..., 1, 0], h[..., 1, 1]
+
+
+def discriminant(h):
+    """Quadratic discriminant of one 2x2 matrix (a complex) or of a stack; eigenvalues coalesce at its zeros."""
+    h00, h01, h10, h11 = _entries(_as_matrix(h))
+    d = _mul(h00 - h11, h00 - h11) + _mul(4 * h01, h10)
+    return complex(d) if np.ndim(d) == 0 else d
+
+
+def eigenvalues(h):
+    """Closed-form (lambda_plus, lambda_minus) of one 2x2 matrix or a stack; plus takes the principal root."""
+    h00, _, _, h11 = _entries(_as_matrix(h))
+    tr = h00 + h11
+    sq = np.sqrt(discriminant(h))
+    return (tr + sq) / 2, (tr - sq) / 2
 
 
 def _phase_fix(v):
@@ -146,28 +181,9 @@ def eigenpairs(h) -> EigenPair:
     h = _as_matrix(h)
     if h.shape != (2, 2) or not np.all(np.isfinite(h)):
         raise NumericsError("eigenpairs expects a finite 2x2 matrix")
-    tr = h[0, 0] + h[1, 1]
-    sq = np.sqrt(discriminant(h))
-    lam_p = (tr + sq) / 2
-    lam_m = (tr - sq) / 2
+    lam_p, lam_m = eigenvalues(h)
     return EigenPair(lambda_plus=complex(lam_p), lambda_minus=complex(lam_m),
                      v_plus=_eigvec(h, lam_p), v_minus=_eigvec(h, lam_m))
-
-
-def legacy_degeneracy_check(config: SystemConfig) -> complex:
-    """Alternative closed-form degeneracy expression kept only as a diagnostic.
-
-    Mixes rate and rate-squared terms, so it is dimensionally inconsistent
-    and its zero set does not coincide with the discriminant's; use
-    discriminant() to locate actual coalescence.
-    """
-    g = effective_couplings(config)
-    chi = te_susceptibility(config, _eval_frequency(config))
-    first = 16 * abs(g.g_a) ** 2 * g.g_b**2 * chi**2
-    bracket = (2 * abs(g.g_b) ** 2 * (np.conj(chi) - chi) + 2 * g.g_a**2 * g.g_b
-               + (config.magnon.gamma - config.phonon.gamma)
-               + 2j * (config.magnon.omega - config.phonon.omega))
-    return complex(first + bracket**2)
 
 
 def _pair_by_continuity(prev_pair, new_unordered):
@@ -178,6 +194,19 @@ def _pair_by_continuity(prev_pair, new_unordered):
     return (a, b) if direct <= crossed else (b, a)
 
 
+def _by_real_part(a, b):
+    return (a, b) if a.real >= b.real else (b, a)
+
+
+def _track(ref, plus, minus):
+    """Match each (plus, minus) pair along a path to its predecessor, the first one to ref."""
+    tracked = []
+    for vals in zip(plus, minus):
+        ref = _pair_by_continuity(ref, vals)
+        tracked.append(ref)
+    return tracked
+
+
 @dataclass(frozen=True)
 class SurfaceResult:
     p_grid: np.ndarray
@@ -186,15 +215,6 @@ class SurfaceResult:
     lambda2: np.ndarray
     near_ep: np.ndarray
     reference_frequency: float = 1e9
-
-
-def _monotone_grid(name, grid):
-    grid = np.asarray(grid, dtype=float)
-    if grid.ndim != 1 or grid.size == 0:
-        raise ConfigError(f"{name} must be a non-empty 1-D grid")
-    if grid.size > 1 and not np.all(np.diff(grid) > 0):
-        raise ConfigError(f"{name} must be strictly increasing")
-    return grid
 
 
 def riemann_surface(config_template: SystemConfig, p_grid, delta_grid,
@@ -208,25 +228,19 @@ def riemann_surface(config_template: SystemConfig, p_grid, delta_grid,
     near_ep_rel times the mean eigenvalue magnitude are flagged; branch
     assignment is ambiguous there.
     """
-    p_grid = _monotone_grid("p_grid", p_grid)
-    delta_grid = _monotone_grid("delta_grid", delta_grid)
-    n_p, n_d = p_grid.size, delta_grid.size
-    lam1 = np.empty((n_p, n_d), dtype=complex)
-    lam2 = np.empty((n_p, n_d), dtype=complex)
-    near = np.zeros((n_p, n_d), dtype=bool)
-    for i, p in enumerate(p_grid):
-        for j, d in enumerate(delta_grid):
-            h = hamiltonian_on_plane(config_template, p, d, tie_tm_detuning)
-            pair = eigenpairs(h)
-            vals = (pair.lambda_plus, pair.lambda_minus)
-            if i == 0 and j == 0:
-                vals = tuple(sorted(vals, key=lambda z: -z.real))
-            else:
-                ref = (lam1[i, j - 1], lam2[i, j - 1]) if j > 0 else (lam1[i - 1, 0], lam2[i - 1, 0])
-                vals = _pair_by_continuity(ref, vals)
-            lam1[i, j], lam2[i, j] = vals
-            scale = max(abs(vals[0] + vals[1]) / 2, 1.0)
-            near[i, j] = abs(vals[0] - vals[1]) <= near_ep_rel * scale
+    p_grid = _checked_grid("p_grid", p_grid, increasing=True)
+    delta_grid = _checked_grid("delta_grid", delta_grid, increasing=True)
+    h = hamiltonian_on_plane(config_template, p_grid[:, None], delta_grid[None, :], tie_tm_detuning)
+    plus, minus = (lam.tolist() for lam in eigenvalues(h))
+    ref = _by_real_part(plus[0][0], minus[0][0])
+    rows = []
+    for row_plus, row_minus in zip(plus, minus):
+        rows.append(_track(ref, row_plus, row_minus))
+        ref = rows[-1][0]
+    tracked = np.array(rows, dtype=complex)
+    lam1, lam2 = tracked[..., 0], tracked[..., 1]
+    scale = np.maximum(_abs(lam1 + lam2) / 2, 1.0)
+    near = _abs(lam1 - lam2) <= near_ep_rel * scale
     return SurfaceResult(p_grid=p_grid, delta_grid=delta_grid, lambda1=lam1, lambda2=lam2,
                          near_ep=near, reference_frequency=reference_frequency)
 
@@ -315,10 +329,8 @@ def find_exceptional_points(config_template: SystemConfig, region, seeds_per_axi
         raise ConfigError("seeds_per_axis must be at least 8")
     ps = np.linspace(p_lo, p_hi, seeds_per_axis)
     ds = np.linspace(d_lo, d_hi, seeds_per_axis)
-    mag = np.empty((seeds_per_axis, seeds_per_axis))
-    for i, p in enumerate(ps):
-        for j, d in enumerate(ds):
-            mag[i, j] = abs(_disc_at(config_template, p, d, tie_tm_detuning))
+    grid = hamiltonian_on_plane(config_template, ps[:, None], ds[None, :], tie_tm_detuning)
+    mag = _abs(discriminant(grid))
     seeds = []
     for i in range(seeds_per_axis):
         for j in range(seeds_per_axis):
@@ -350,19 +362,10 @@ def monodromy_swapped(config_template: SystemConfig, center, radius_p, radius_de
         raise ConfigError("monodromy loop needs at least 16 samples")
     thetas = np.linspace(0.0, 2 * np.pi, samples, endpoint=True)
     p_c, d_c = center
-    start = None
-    current = None
-    for th in thetas:
-        h = hamiltonian_on_plane(config_template, p_c + radius_p * np.cos(th),
-                                 d_c + radius_delta * np.sin(th), tie_tm_detuning)
-        pair = eigenpairs(h)
-        vals = (pair.lambda_plus, pair.lambda_minus)
-        if current is None:
-            current = tuple(sorted(vals, key=lambda z: -z.real))
-            start = current
-        else:
-            current = _pair_by_continuity(current, vals)
-    # after a closed loop the pair either returns or exchanges
-    direct = abs(current[0] - start[0]) + abs(current[1] - start[1])
-    crossed = abs(current[1] - start[0]) + abs(current[0] - start[1])
-    return crossed < direct
+    h = hamiltonian_on_plane(config_template, p_c + radius_p * np.cos(thetas),
+                             d_c + radius_delta * np.sin(thetas), tie_tm_detuning)
+    plus, minus = (lam.tolist() for lam in eigenvalues(h))
+    start = _by_real_part(plus[0], minus[0])
+    current = _track(start, plus, minus)[-1]
+    # after a closed loop the pair either returns or exchanges: matching it to the start swaps it
+    return _pair_by_continuity(start, current) != current

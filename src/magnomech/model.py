@@ -13,7 +13,9 @@ an effective resonance at minus its pump detuning.
 
 from __future__ import annotations
 
+import cmath
 from dataclasses import dataclass, replace
+
 import numpy as np
 
 from .errors import ConfigError, NumericsError
@@ -80,11 +82,6 @@ class PumpDrive:
             raise ConfigError("PumpDrive fields must be finite")
         if not self.effective_strength >= 0:
             raise ConfigError(f"PumpDrive.effective_strength must be >= 0, got {self.effective_strength!r}")
-
-    @classmethod
-    def from_pair(cls, target, detuning, amplitude, single_coupling):
-        """Convenience constructor taking the pump amplitude and the bare coupling separately."""
-        return cls(target=target, detuning=detuning, effective_strength=amplitude * single_coupling)
 
 
 @dataclass(frozen=True)
@@ -180,14 +177,64 @@ class EffectiveCoupling:
     g_b: complex
 
 
+# Array arithmetic that rounds exactly like Python's scalar arithmetic. numpy's
+# vectorised complex loops may fuse multiply-adds and divide by their own
+# scheme, so a grid cell could differ in its last bits from the same point
+# evaluated alone. On arrays these helpers spell out Python's steps in real
+# arithmetic; on scalars they are the plain operators.
+def _mul(x, y):
+    if not (isinstance(x, np.ndarray) or isinstance(y, np.ndarray)):
+        return x * y
+    x, y = np.asarray(x, dtype=complex), np.asarray(y, dtype=complex)
+    out = (x.real * y.real - x.imag * y.imag).astype(complex)
+    out.imag = x.real * y.imag + x.imag * y.real
+    return out
+
+
+def _abs(z):
+    return np.hypot(z.real, z.imag) if isinstance(z, np.ndarray) else abs(z)
+
+
+def _reciprocal(z):
+    if not isinstance(z, np.ndarray):
+        return 1.0 / z
+    wide = np.abs(z.real) >= np.abs(z.imag)  # Smith's scaled division, as in Python's complex quotient
+    with np.errstate(divide="ignore", invalid="ignore"):
+        ratio = np.where(wide, z.imag / z.real, z.real / z.imag)
+        denom = np.where(wide, z.real + z.imag * ratio, z.real * ratio + z.imag)
+        out = (np.where(wide, 1.0, ratio + 0.0) / denom).astype(complex)
+        out.imag = np.where(wide, 0.0 - ratio, -1.0) / denom
+    return out
+
+
+def _every(flags):
+    return bool(flags.all()) if isinstance(flags, np.ndarray) else bool(flags)
+
+
+def _finite(x):
+    # cmath on scalars: numpy's per-call overhead would dominate the point functions
+    return bool(np.isfinite(x).all()) if isinstance(x, np.ndarray) else cmath.isfinite(x)
+
+
+def _checked_grid(name, grid, increasing=False):
+    """A sweep axis as a float array: non-empty, 1-D, strictly monotone (or strictly increasing)."""
+    grid = np.asarray(grid, dtype=float)
+    if grid.ndim != 1 or grid.size == 0:
+        raise ConfigError(f"{name} must be a non-empty 1-D grid")
+    step = np.sign(np.diff(grid))
+    if not (np.all(step == 1) or (not increasing and np.all(step == -1))):
+        raise ConfigError(f"{name} must be strictly {'increasing' if increasing else 'monotone'}")
+    return grid
+
+
 def susceptibility(gamma, omega_res, omega):
     """Linear response 1/(gamma/2 - i(omega - omega_res)) of a damped mode.
 
-    Vectorized over omega. Pole-free for any gamma > 0.
+    Vectorized over omega and omega_res. Pole-free for any gamma > 0.
     """
     if not gamma > 0:
         raise ConfigError(f"susceptibility requires gamma > 0, got {gamma!r}")
-    out = 1.0 / (gamma / 2 - 1j * (np.asarray(omega) - omega_res))
+    out = _reciprocal(gamma / 2 - 1j * (np.asarray(omega) - omega_res))
     return complex(out) if np.ndim(out) == 0 else out
 
 
@@ -196,25 +243,20 @@ def te_susceptibility(config: SystemConfig, omega):
     return susceptibility(config.te_photon.gamma, -config.drive_te.detuning, omega)
 
 
-def steady_tm_amplitude(drive: PumpDrive, mode: OscillatorMode) -> complex:
-    """Steady pump-built intracavity amplitude, scaled by the bundled bare coupling.
+def _pump_coupling(mode: OscillatorMode, detuning, strength):
+    """Pump-enhanced coupling strength*sqrt(2 gamma_ext)/(gamma - i detuning) of one optical branch.
 
-    Because the drive knob carries amplitude*coupling as one factor, the
-    returned value is already the effective coupling rate for that branch.
+    Vectorized over detuning and strength, so a whole (drive, detuning)
+    grid is one call; a scalar pair gives the scalar rate.
     """
-    if mode.label != TM_PHOTON:
-        raise ConfigError(f"steady_tm_amplitude expects the tm_photon mode, got {mode.label!r}")
-    return _pump_amplitude(drive, mode)
-
-
-def _pump_amplitude(drive, mode):
-    return drive.effective_strength * np.sqrt(2 * mode.gamma_ext) / (-1j * drive.detuning + mode.gamma)
+    g = strength * np.sqrt(2 * mode.gamma_ext) / (-1j * detuning + mode.gamma)
+    if not _finite(g):
+        raise NumericsError("effective coupling evaluated non-finite; check drive and damping values")
+    return g
 
 
 def effective_couplings(config: SystemConfig) -> EffectiveCoupling:
     """Both pump-enhanced coupling rates for the configured drives."""
-    g_a = _pump_amplitude(config.drive_tm, config.tm_photon)
-    g_b = _pump_amplitude(config.drive_te, config.te_photon)
-    if not (np.isfinite(g_a) and np.isfinite(g_b)):
-        raise NumericsError("effective coupling evaluated non-finite; check drive and damping values")
+    g_a = _pump_coupling(config.tm_photon, config.drive_tm.detuning, config.drive_tm.effective_strength)
+    g_b = _pump_coupling(config.te_photon, config.drive_te.detuning, config.drive_te.effective_strength)
     return EffectiveCoupling(g_a=complex(g_a), g_b=complex(g_b))

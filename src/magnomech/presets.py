@@ -68,12 +68,11 @@ _SE_CITATIONS = (
 )
 
 
-def _se_preset(name, which, diagonal, n, plot_component, extra_notes=""):
+def _se_preset(name, which, diagonal, n, extra_notes=""):
     grid = [-_SE_SPAN, _SE_SPAN, n]
     return Preset(
         name=name, command="self-energy", config=_SE_CONFIG,
-        run_params={"which": which, "diagonal": diagonal, "tm_grid": grid, "te_grid": grid,
-                    "plot_component": plot_component},
+        run_params={"which": which, "diagonal": diagonal, "tm_grid": grid, "te_grid": grid},
         citations=_SE_CITATIONS + (
             Citation("run.tm_grid", grid, "detuning axis spans +-5 dampings"),
         ),
@@ -172,17 +171,16 @@ def _loop_preset(name, center_delta, direction, start_phase):
 
 def _build_registry():
     presets = [
-        _se_preset("fig2a", "rr", True, 201, "both",
+        _se_preset("fig2a", "rr", True, 201,
                    "mechanical self-energy: frequency shift and damping shift"),
-        _se_preset("fig2b", "mm", True, 201, "both",
+        _se_preset("fig2b", "mm", True, 201,
                    "magnon self-energy: both shifts take either sign"),
-        _se_preset("fig2c", "mm", False, 101, "real", "magnon frequency shift over the detuning plane"),
-        _se_preset("fig2d", "mm", False, 101, "imag", "magnon damping shift over the detuning plane"),
+        _se_preset("fig2c", "mm", False, 101, "magnon frequency shift over the detuning plane"),
+        _se_preset("fig2d", "mm", False, 101, "magnon damping shift over the detuning plane"),
         Preset(
             name="fig3", command="self-energy", config=_SE_CONFIG,
             run_params={"parts": ["mr", "rm"], "diagonal": False,
-                        "tm_grid": [-_SE_SPAN, _SE_SPAN, 101], "te_grid": [-_SE_SPAN, _SE_SPAN, 101],
-                        "plot_component": "both"},
+                        "tm_grid": [-_SE_SPAN, _SE_SPAN, 101], "te_grid": [-_SE_SPAN, _SE_SPAN, 101]},
             citations=_SE_CITATIONS,
             notes="mediated coupling, both directions; equal magnitudes, relative phase twice the "
                   "TE coupling phase",

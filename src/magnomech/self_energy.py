@@ -12,7 +12,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import ConfigError
-from .model import SystemConfig, effective_couplings, te_susceptibility
+from .model import (SystemConfig, _abs, _checked_grid, _mul, _pump_coupling, effective_couplings,
+                    susceptibility, te_susceptibility)
 
 
 @dataclass(frozen=True)
@@ -30,6 +31,34 @@ class SelfEnergyPoint:
         return self.sigma.imag
 
 
+def _mediated(left, right, chi):
+    # -i*left*right*chi, one optical-response exchange; products with -1j or a
+    # real factor round alike on every path, complex-by-complex ones use _mul
+    return _mul(_mul(-1j * left, right), chi)
+
+
+def _dressing(which, g_a, g_b, chi, chi_ref, convention):
+    """One expression per dressing term, on scalars or arrays: for sigma_*, the sweep and ep's operator.
+
+    chi_ref, the conjugate TE response at minus the frequency, is read by "rr" only.
+    """
+    if which == "rr":
+        return -1j * _abs(g_b) ** 2 * (chi - chi_ref)
+    if which == "mm":
+        if convention == "complex_squared":
+            return _mediated(g_a, g_a, chi)
+        return -1j * _abs(g_a) ** 2 * chi
+    return _mediated(g_a, g_b if which == "mr" else np.conj(g_b), chi)
+
+
+def _point(which, omega, config):
+    g = effective_couplings(config)
+    chi = te_susceptibility(config, omega)
+    chi_ref = np.conj(te_susceptibility(config, -np.asarray(omega))) if which == "rr" else None
+    out = _dressing(which, g.g_a, g.g_b, chi, chi_ref, config.conjugation_convention)
+    return complex(out) if np.ndim(out) == 0 else out
+
+
 def sigma_rr(omega, config: SystemConfig) -> complex:
     """Self-energy of the mechanical mode from the driven optical response.
 
@@ -37,11 +66,7 @@ def sigma_rr(omega, config: SystemConfig) -> complex:
     resonance (zero detuning), because the two optical sidebands then
     cancel; it is antisymmetric under flipping that detuning.
     """
-    g = effective_couplings(config)
-    chi_p = te_susceptibility(config, omega)
-    chi_m = np.conj(te_susceptibility(config, -np.asarray(omega)))
-    out = -1j * abs(g.g_b) ** 2 * (chi_p - chi_m)
-    return complex(out) if np.ndim(out) == 0 else out
+    return _point("rr", omega, config)
 
 
 def sigma_mm(omega, config: SystemConfig) -> complex:
@@ -53,17 +78,12 @@ def sigma_mm(omega, config: SystemConfig) -> complex:
     as a complex square or as a magnitude square (the two coincide whenever
     the coupling is real, i.e. at zero pump detuning on the other branch).
     """
-    g = effective_couplings(config)
-    factor = g.g_a**2 if config.conjugation_convention == "complex_squared" else abs(g.g_a) ** 2
-    out = -1j * factor * te_susceptibility(config, omega)
-    return complex(out) if np.ndim(out) == 0 else out
+    return _point("mm", omega, config)
 
 
 def sigma_mr(omega, config: SystemConfig) -> complex:
     """Mediated coupling acting on the magnon from the mechanical side."""
-    g = effective_couplings(config)
-    out = -1j * g.g_a * g.g_b * te_susceptibility(config, omega)
-    return complex(out) if np.ndim(out) == 0 else out
+    return _point("mr", omega, config)
 
 
 def sigma_rm(omega, config: SystemConfig) -> complex:
@@ -73,12 +93,7 @@ def sigma_rm(omega, config: SystemConfig) -> complex:
     the two directions is twice the phase of the optical-branch coupling.
     That non-reciprocal phase is a control knob of the hybrid system.
     """
-    g = effective_couplings(config)
-    out = -1j * g.g_a * np.conj(g.g_b) * te_susceptibility(config, omega)
-    return complex(out) if np.ndim(out) == 0 else out
-
-
-_SIGMA_FUNCS = {"rr": sigma_rr, "mm": sigma_mm, "mr": sigma_mr, "rm": sigma_rm}
+    return _point("rm", omega, config)
 
 
 def _eval_frequency(config, which, eval_omega):
@@ -96,26 +111,23 @@ def sweep_self_energy(config_template: SystemConfig, tm_detuning_grid, te_detuni
     major. With diagonal=True the two grids are zipped instead: cell i is
     (tm_grid[i], te_grid[i]), the single-pump-frequency (monochromatic)
     cut. Each component is evaluated at its own mode's resonance unless
-    eval_omega overrides that.
+    eval_omega overrides that. The whole grid is one array evaluation;
+    every cell equals the point function at that cell's detunings.
     """
-    if which not in _SIGMA_FUNCS:
-        raise ConfigError(f"unknown self-energy component {which!r}; expected one of {sorted(_SIGMA_FUNCS)}")
-    tm_grid = np.asarray(tm_detuning_grid, dtype=float)
-    te_grid = np.asarray(te_detuning_grid, dtype=float)
-    for name, grid in (("tm_detuning_grid", tm_grid), ("te_detuning_grid", te_grid)):
-        if grid.ndim != 1 or grid.size == 0:
-            raise ConfigError(f"{name} must be a non-empty 1-D grid")
-        if grid.size > 1 and not (np.all(np.diff(grid) > 0) or np.all(np.diff(grid) < 0)):
-            raise ConfigError(f"{name} must be strictly monotone")
+    if which not in ("mm", "mr", "rm", "rr"):
+        raise ConfigError(f"unknown self-energy component {which!r}; expected one of ['mm', 'mr', 'rm', 'rr']")
+    tm_grid = _checked_grid("tm_detuning_grid", tm_detuning_grid)
+    te_grid = _checked_grid("te_detuning_grid", te_detuning_grid)
     if diagonal and tm_grid.size != te_grid.size:
         raise ConfigError("diagonal sweep needs equally sized detuning grids")
-    func = _SIGMA_FUNCS[which]
-    cells = (zip(tm_grid, te_grid) if diagonal
-             else ((d_tm, d_te) for d_tm in tm_grid for d_te in te_grid))
-    points = []
-    for d_tm, d_te in cells:
-        cfg = config_template.with_drive_detunings(tm=d_tm, te=d_te)
-        omega = _eval_frequency(cfg, which, eval_omega)
-        points.append(SelfEnergyPoint(delta_tm=float(d_tm), delta_te=float(d_te),
-                                      sigma=func(omega, cfg)))
-    return points
+    if not diagonal:
+        tm_grid, te_grid = (axis.ravel() for axis in np.meshgrid(tm_grid, te_grid, indexing="ij"))
+    cfg = config_template
+    omega = _eval_frequency(cfg, which, eval_omega)
+    g_a = _pump_coupling(cfg.tm_photon, tm_grid, cfg.drive_tm.effective_strength)
+    g_b = _pump_coupling(cfg.te_photon, te_grid, cfg.drive_te.effective_strength)
+    chi = susceptibility(cfg.te_photon.gamma, -te_grid, omega)
+    chi_ref = np.conj(susceptibility(cfg.te_photon.gamma, -te_grid, -omega))
+    sigma = _dressing(which, g_a, g_b, chi, chi_ref, cfg.conjugation_convention)
+    return [SelfEnergyPoint(delta_tm=d_tm, delta_te=d_te, sigma=s)
+            for d_tm, d_te, s in zip(tm_grid.tolist(), te_grid.tolist(), sigma.tolist())]

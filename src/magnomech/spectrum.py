@@ -6,11 +6,8 @@ Two computation routes for the same transfer coefficients:
   frequency-domain system in (b, b~, r, r~, m, m~), where x~[w] means
   x*[-w]. This is the default path and the oracle.
 - closed_form_response: analytic elimination of the mechanical and
-  magnetic sectors down to a scalar loop equation for b[w]. variant
-  "exact" agrees with the direct solve to numerical precision; variant
-  "lumped" is a compact legacy form kept as a diagnostic (it folds the
-  conjugate mechanical channel into the direct one and applies the loop
-  correction uniformly, which changes the result at generic parameters).
+  magnetic sectors down to a scalar loop equation for b[w]; it agrees
+  with the direct solve to numerical precision.
 
 The PSD is the channel-incoherent sum of squared transfer magnitudes
 times a flat unit noise level: thermal drives on different modes do not
@@ -24,13 +21,11 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .errors import ConfigError, NumericsError
-from .model import SystemConfig, effective_couplings, susceptibility
+from .model import SystemConfig, _checked_grid, effective_couplings, susceptibility
 
 # noise channels: thermal force on phonon/magnon at +w, conjugate partner at -w
 R_PLUS, R_MINUS, M_PLUS, M_MINUS = "r+", "r-", "m+", "m-"
 ALL_CHANNELS = frozenset((R_PLUS, R_MINUS, M_PLUS, M_MINUS))
-# reduced set keeping only the positive-frequency drives
-POSITIVE_CHANNELS = frozenset((R_PLUS, M_PLUS))
 _CHANNEL_ORDER = (R_PLUS, R_MINUS, M_PLUS, M_MINUS)
 
 _COND_LIMIT = 1e13  # condition number above this flags parameter pathology
@@ -140,19 +135,12 @@ def _loop_pieces(omega, config):
     return x_inv, y, chi_r, chi_r_ref, chi_m
 
 
-def closed_form_response(omega, config: SystemConfig, variant: str = "exact"):
+def closed_form_response(omega, config: SystemConfig):
     """Analytic elimination of the mechanical and magnetic sectors.
 
-    variant "exact": full channel algebra, matches linear_system_response.
-    variant "lumped": compact legacy form retaining only positive-frequency
-    channels, with the conjugate mechanical response folded onto the direct
-    drive and the conjugate-loop correction applied to every channel. Its
-    deviation from the oracle at generic parameters is a documented finding.
-
-    Returns {channel: complex coefficient} per unit noise amplitude.
+    Full channel algebra; matches linear_system_response. Returns
+    {channel: complex coefficient} per unit noise amplitude.
     """
-    if variant not in ("exact", "lumped"):
-        raise ConfigError(f"unknown closed-form variant {variant!r}")
     omega = float(omega)
     g = effective_couplings(config)
     gr = config.phonon.gamma
@@ -167,12 +155,6 @@ def closed_form_response(omega, config: SystemConfig, variant: str = "exact"):
     den = 1 - x * y * x_ref * y_ref
     if abs(den) < 1e-12:
         raise NumericsError(f"closed-form loop denominator below tolerance (|den| = {abs(den):.3e})")
-    if variant == "lumped":
-        pref = (x * y * x_ref + x) / den
-        return {
-            R_PLUS: complex(pref * (-1j) * g.g_b * (chi_r + chi_r_ref) * np.sqrt(gr)),
-            M_PLUS: complex(pref * (-1j) * g.g_a * chi_m * np.sqrt(gm)),
-        }
     chi_m_ref = np.conj(susceptibility(gm, config.magnon.omega, -omega))
     # direct drive vector and its frequency-reflected conjugate, channel order r+ r- m+ m-
     z = np.array([
@@ -200,15 +182,6 @@ def psd(omega, config: SystemConfig, noise: NoiseParams | None = None):
     return float(out[0]) if np.ndim(omega) == 0 else out
 
 
-def _check_grid(name, grid):
-    grid = np.asarray(grid, dtype=float)
-    if grid.ndim != 1 or grid.size == 0:
-        raise ConfigError(f"{name} must be a non-empty 1-D grid")
-    if grid.size > 1 and not (np.all(np.diff(grid) > 0) or np.all(np.diff(grid) < 0)):
-        raise ConfigError(f"{name} must be strictly monotone")
-    return grid
-
-
 def psd_map(config_template: SystemConfig, omega_grid, detuning_grid, swept: str = "TE",
             noise: NoiseParams | None = None):
     """PSD over a (frequency, pump-detuning) grid, sweeping the TE or TM drive.
@@ -218,8 +191,8 @@ def psd_map(config_template: SystemConfig, omega_grid, detuning_grid, swept: str
     """
     if swept not in ("TE", "TM"):
         raise ConfigError(f"swept must be 'TE' or 'TM', got {swept!r}")
-    omega_grid = _check_grid("omega_grid", omega_grid)
-    detuning_grid = _check_grid("detuning_grid", detuning_grid)
+    omega_grid = _checked_grid("omega_grid", omega_grid)
+    detuning_grid = _checked_grid("detuning_grid", detuning_grid)
     noise = noise or NoiseParams()
     points = []
     for det in detuning_grid:

@@ -103,17 +103,6 @@ def test_criterion_2_closed_form_matches_direct_solve():
             worst = max(worst, abs(closed[ch] - value) / max(abs(value), 1e-30))
     assert worst < 1e-10, f"worst channel-matched relative error {worst:.2e}"
 
-    # the compact legacy variant is structurally different; log its size and
-    # confirm the default route stays on the direct solve
-    devs = []
-    for _ in range(20):
-        cfg = random_config(rng)
-        w = rng.uniform(0.5e9, 1.5e9)
-        direct = linear_system_response(w, cfg)
-        lumped = closed_form_response(w, cfg, variant="lumped")
-        devs.append(abs(lumped["r+"] - direct["r+"]) / max(abs(direct["r+"]), 1e-30))
-    print(f"lumped-variant median relative deviation {np.median(devs):.2e} (diagnostic only)")
-    assert np.median(devs) > 1e-3
     cfg = random_config(rng)
     grid = np.linspace(0.5e9, 1.5e9, 7)
     manual = [sum(abs(c) ** 2 for c in linear_system_response(w, cfg).values()) for w in grid]

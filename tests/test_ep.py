@@ -8,6 +8,7 @@ from magnomech.ep import (
     build_hamiltonian,
     discriminant,
     eigenpairs,
+    eigenvalues,
     find_exceptional_points,
     hamiltonian_on_plane,
     monodromy_swapped,
@@ -38,6 +39,14 @@ def test_eigenpairs_match_dense_solver(rng):
         scale = max(abs(ref[0]), abs(ref[1]), 1e-30)
         assert abs(mine[0] - ref[0]) / scale < 1e-10
         assert abs(mine[1] - ref[1]) / scale < 1e-10
+    # the stacked closed form, one call over a (50, 4, 2, 2) stack
+    stack = rng.normal(size=(50, 4, 2, 2)) + 1j * rng.normal(size=(50, 4, 2, 2))
+    plus, minus = eigenvalues(stack)
+    assert plus.shape == minus.shape == (50, 4)
+    ref = np.sort_complex(np.linalg.eigvals(stack))
+    mine = np.sort_complex(np.stack([plus, minus], axis=-1))
+    scale = np.maximum(np.abs(ref).max(axis=-1, keepdims=True), 1e-30)
+    assert np.max(np.abs(mine - ref) / scale) < 1e-10
 
 
 def test_eigenvectors_satisfy_eigenproblem(rng):
@@ -127,6 +136,16 @@ def test_plane_helper_ties_strengths():
     manual_tied = build_hamiltonian(
         cfg.with_strengths(tm=5e11, te=5e11).with_drive_detunings(te=-2e7, tm=-2e7))
     assert np.array_equal(tied, manual_tied.h)
+    # a mesh evaluates in one call, each cell bit-identical to its rebuilt config
+    p_mesh = np.linspace(0.1e12, 1.4e12, 5)
+    d_mesh = np.linspace(-6e7, 1e7, 4)
+    for tie in (False, True):
+        stack = hamiltonian_on_plane(cfg, p_mesh[:, None], d_mesh[None, :], tie_tm_detuning=tie)
+        assert stack.shape == (5, 4, 2, 2)
+        for i, p in enumerate(p_mesh):
+            for j, d in enumerate(d_mesh):
+                rebuilt = cfg.with_strengths(tm=p, te=p).with_drive_detunings(te=d, tm=d if tie else None)
+                assert np.array_equal(stack[i, j], build_hamiltonian(rebuilt).h)
 
 
 def test_zero_drive_hamiltonian_is_bare_and_diagonal():
@@ -186,6 +205,14 @@ def test_surface_first_cell_ordered_by_real_part():
     surf = riemann_surface(cfg, np.linspace(0.1e12, 0.3e12, 3),
                            np.linspace(-2e7, 0.0, 3))
     assert surf.lambda1[0, 0].real >= surf.lambda2[0, 0].real
+
+
+def test_surface_grids_must_increase():
+    cfg = get_preset("fig5").config
+    with pytest.raises(ConfigError, match="p_grid must be strictly increasing"):
+        riemann_surface(cfg, [0.3e12, 0.2e12, 0.1e12], [-2e7, 0.0])
+    with pytest.raises(ConfigError, match="delta_grid must be strictly increasing"):
+        riemann_surface(cfg, [0.1e12, 0.2e12], [0.0, -2e7])
 
 
 def test_surface_continuity_away_from_ep():

@@ -8,7 +8,6 @@ from magnomech.model import (
     SystemConfig,
     critical_mode,
     effective_couplings,
-    steady_tm_amplitude,
     susceptibility,
     te_susceptibility,
 )
@@ -69,17 +68,6 @@ def test_effective_coupling_detuned_phase():
     assert abs(g_a) == pytest.approx(1e12 * np.sqrt(2e7) / abs(denom), rel=1e-14)
 
 
-def test_steady_amplitude_equals_coupling_branch():
-    cfg = build_config(strength_tm=7e11, delta_tm=1.2e7)
-    assert steady_tm_amplitude(cfg.drive_tm, cfg.tm_photon) == effective_couplings(cfg).g_a
-
-
-def test_steady_amplitude_rejects_wrong_mode():
-    cfg = build_config()
-    with pytest.raises(ConfigError):
-        steady_tm_amplitude(cfg.drive_tm, cfg.te_photon)
-
-
 def test_mode_validation_names_field():
     with pytest.raises(ConfigError, match="OscillatorMode.gamma"):
         OscillatorMode("magnon", 1e9, -2e7)
@@ -94,8 +82,6 @@ def test_drive_validation():
         PumpDrive("magnon", 0.0, 1e12)
     with pytest.raises(ConfigError):
         PumpDrive("tm_photon", 0.0, -1.0)
-    d = PumpDrive.from_pair("te_photon", -3e6, amplitude=2e9, single_coupling=500.0)
-    assert d.effective_strength == 1e12
 
 
 def test_config_slot_labels_enforced():

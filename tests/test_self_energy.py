@@ -102,10 +102,19 @@ def test_sweep_cross_product_row_major():
     assert len(pts) == 6
     assert [p.delta_tm for p in pts] == [-1e6, -1e6, 0.0, 0.0, 1e6, 1e6]
     assert [p.delta_te for p in pts] == [-2e6, 2e6, -2e6, 2e6, -2e6, 2e6]
-    # each point equals a direct evaluation at its own detunings
-    direct = sigma_mm(cfg.magnon.omega,
-                      cfg.with_drive_detunings(tm=1e6, te=2e6))
-    assert pts[-1].sigma == direct
+    # every cell of every component equals the point function on the rebuilt config
+    tm = np.linspace(-4e7, 3e7, 6)
+    te = np.linspace(2e7, -5e7, 5)
+    for convention in ("complex_squared", "magnitude_squared"):
+        base = replace(build_config(strength_tm=8e11, strength_te=5e11, delta_tm=-3e6),
+                       conjugation_convention=convention)
+        for which, fn in (("rr", sigma_rr), ("mm", sigma_mm), ("mr", sigma_mr), ("rm", sigma_rm)):
+            omega = base.phonon.omega if which == "rr" else base.magnon.omega
+            pts = sweep_self_energy(base, tm, te, which)
+            assert len(pts) == tm.size * te.size
+            for k, p in enumerate(pts):
+                assert (p.delta_tm, p.delta_te) == (tm[k // te.size], te[k % te.size])
+                assert p.sigma == fn(omega, base.with_drive_detunings(tm=p.delta_tm, te=p.delta_te))
 
 
 def test_sweep_diagonal_mode():
@@ -123,8 +132,9 @@ def test_sweep_validates_grids_and_component():
     cfg = build_config()
     with pytest.raises(ConfigError):
         sweep_self_energy(cfg, [], [0.0], "rr")
-    with pytest.raises(ConfigError):
-        sweep_self_energy(cfg, [0.0, 1.0, 0.5], [0.0], "rr")  # not monotone
+    with pytest.raises(ConfigError, match="tm_detuning_grid must be strictly monotone"):
+        sweep_self_energy(cfg, [0.0, 1.0, 0.5], [0.0], "rr")
+    assert len(sweep_self_energy(cfg, [1.0, 0.0], [0.0], "rr")) == 2  # decreasing is monotone
     with pytest.raises(ConfigError):
         sweep_self_energy(cfg, [0.0], [0.0], "xy")
 
