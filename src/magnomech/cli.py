@@ -43,8 +43,7 @@ RUN_KEYS = {
     "find-ep": {"region", "seeds_per_axis", "tie", "gap_rtol"},
     "encircle": {"loop.center_p", "loop.center_delta", "loop.radius_units", "loop.unit_p",
                  "loop.unit_delta", "loop.direction", "loop.period", "loop.start_phase",
-                 "loop.samples", "tie", "align_shift_fraction", "slope_threshold", "rtol",
-                 "carrier_offset"},
+                 "loop.samples", "tie", "align_shift_fraction", "slope_threshold", "rtol"},
 }
 
 # fallback preset per command when the user names none; grids trimmed for speed
@@ -390,9 +389,7 @@ def _run_encircle(spec: RunSpec):
     loop = _loop_from_run(run)
     tie = bool(run.get("tie", False))
     rtol = float(run.get("rtol", 1e-8))
-    carrier = float(run.get("carrier_offset", 1e9))
-    primary, reverse = (enc.evolve(one_loop, spec.config, rtol=rtol, carrier_offset=carrier,
-                                   tie_tm_detuning=tie)
+    primary, reverse = (enc.evolve(one_loop, spec.config, rtol=rtol, tie_tm_detuning=tie)
                         for one_loop in (loop, loop.reversed()))
     align = int(round(loop.samples * float(run.get("align_shift_fraction", 0.5))))
     report = enc.chirality_report(primary, reverse, align_shift=align,

@@ -1,6 +1,9 @@
 """End-to-end command tests, run in process through cli.main(argv)."""
 
 import json
+import os
+import subprocess
+import sys
 
 import numpy as np
 import pytest
@@ -199,6 +202,20 @@ def test_bad_override_exits_2(tmp_path, capsys):
     err = json.loads(capsys.readouterr().err)
     assert err["error"]["type"] == "config"
     assert "nonsense" in err["error"]["message"]
+    # carrier_offset is not a run key, and a non-positive rtol is refused
+    for override, key in (("carrier_offset=1e9", "carrier_offset"), ("rtol=-1", "rtol")):
+        assert cli.main(["encircle", "--preset", "fig6a", "--out", stem, "--set", override]) == 2
+        err = json.loads(capsys.readouterr().err)
+        assert err["error"]["type"] == "config"
+        assert key in err["error"]["message"]
+
+
+def test_cli_import_leaves_scipy_unloaded():
+    # scipy is a test-only dependency: the package itself must run without it
+    src = os.path.dirname(os.path.dirname(cli.__file__))
+    probe = "import sys, magnomech.cli; sys.exit('scipy' in sys.modules)"
+    env = {**os.environ, "PYTHONPATH": src}
+    assert subprocess.run([sys.executable, "-c", probe], env=env).returncode == 0
 
 
 def test_missing_equals_in_override_exits_2(tmp_path, capsys):

@@ -10,7 +10,7 @@ from magnomech.encircle import (
     parameters_at,
 )
 from magnomech.ep import eigenpairs, hamiltonian_on_plane
-from magnomech.errors import ConfigError
+from magnomech.errors import ConfigError, NumericsError
 from magnomech.presets import get_preset
 
 from conftest import build_config
@@ -161,6 +161,24 @@ def test_zero_radius_log_norm_matches_eigenvalue_decay():
     assert traj.log_norm[-1] == pytest.approx(expected, rel=1e-6)
 
 
+def test_zero_radius_mixed_start_matches_eigendecomposition():
+    # a constant operator has a zero Magnus commutator, so every step is exact;
+    # the mixed start is not an eigenvector, so both exponentials must be right
+    loop, cfg = preset_loop("fig6a", radius_units=0.0, period=1e-6, samples=96)
+    v_a, v_b = initial_basis(loop, cfg)
+    u0 = (v_a + v_b) / np.linalg.norm(v_a + v_b)
+    traj = evolve(loop, cfg, initial_state=u0)
+    lam, vec = np.linalg.eig(hamiltonian_on_plane(cfg, *parameters_at(loop, 0.0)))
+    lam_slow = lam[np.argmax(lam.imag)]
+    coeffs = np.linalg.solve(vec, u0)
+    # exp(-i H t) u0 = exp(-i lam_slow t) * (this), which keeps the GHz phase out
+    rel = vec @ (coeffs[:, None] * np.exp(-1j * np.outer(lam - lam_slow, traj.times)))
+    expected_log_norm = lam_slow.imag * traj.times + np.log(np.linalg.norm(rel, axis=0))
+    expected = energy_fractions(rel.T, (v_a, v_b))
+    assert np.abs(traj.fractions - expected).max() <= 1e-12
+    assert np.abs(traj.log_norm - expected_log_norm).max() <= 1e-10
+
+
 def test_repelling_branch_relaxes():
     # non-normal decay: contamination of the slow branch is amplified at the
     # dissipation-rate difference, so the fast branch cannot hold its state
@@ -227,3 +245,21 @@ def test_evolve_rejects_zero_initial_state():
     loop, cfg = preset_loop("fig6a", samples=96, period=1e-6)
     with pytest.raises(ConfigError):
         evolve(loop, cfg, initial_state=np.zeros(2))
+
+
+def test_evolve_rejects_non_positive_or_non_finite_rtol():
+    loop, cfg = preset_loop("fig6a", samples=96, period=1e-6)
+    for rtol in (0.0, -1e-8, float("nan"), float("inf")):
+        with pytest.raises(ConfigError, match="rtol"):
+            evolve(loop, cfg, rtol=rtol)
+
+
+def test_evolve_reports_step_cap_and_overflow():
+    # too many samples for the step cap: refused before any work
+    loop, cfg = preset_loop("fig6a", samples=2 ** 20 + 2)
+    with pytest.raises(NumericsError, match="steps"):
+        evolve(loop, cfg)
+    # ~4e3 e-foldings of branch split per sample interval overflow any propagator
+    loop, cfg = preset_loop("fig6a", period=1e-2, samples=64)
+    with np.errstate(over="ignore", invalid="ignore"), pytest.raises(NumericsError, match="overflow"):
+        evolve(loop, cfg)
