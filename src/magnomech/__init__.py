@@ -56,7 +56,6 @@ from .self_energy import (
 )
 from .spectrum import (
     NoiseParams,
-    SpectrumPoint,
     closed_form_response,
     linear_system_response,
     psd,
@@ -80,7 +79,6 @@ __all__ = [
     "PumpDrive",
     "REGISTRY",
     "SelfEnergyPoint",
-    "SpectrumPoint",
     "SurfaceResult",
     "SystemConfig",
     "Trajectory",

@@ -212,16 +212,16 @@ def _artifact(spec, suffix, ext):
     return f"{spec.out_stem}{suffix}.{ext}"
 
 
-def _write_table(spec, suffix, columns, table, extra=None, json_rows=None):
-    """Write a table as CSV and/or JSON {"columns", "rows"}, per --format; return the paths."""
+def _write_table(spec, suffix, table, extra=None):
+    """Write a column table as CSV and/or JSON {"columns", "rows"}, per --format; return the paths."""
     written = []
     if "csv" in spec.formats:
         written.append(_artifact(spec, suffix, "csv"))
-        output.write_csv(written[-1], columns, table, _meta(spec, extra))
+        output.write_csv(written[-1], table, _meta(spec, extra))
     if "json" in spec.formats:
         written.append(_artifact(spec, suffix, "json"))
-        output.write_json(written[-1], {"columns": columns, "rows": table if json_rows is None else json_rows},
-                          _meta(spec, extra))
+        rows = list(zip(*(np.asarray(col).tolist() for col in table.values())))
+        output.write_json(written[-1], {"columns": list(table), "rows": rows}, _meta(spec, extra))
     return written
 
 
@@ -234,7 +234,7 @@ def _run_coupling(spec: RunSpec):
     written = []
     if "csv" in spec.formats:
         path = _artifact(spec, "", "csv")
-        output.write_csv(path, list(row), [list(row.values())], _meta(spec))
+        output.write_csv(path, {name: [value] for name, value in row.items()}, _meta(spec))
         written.append(path)
     if "json" in spec.formats:
         path = _artifact(spec, "", "json")
@@ -255,9 +255,11 @@ def _run_self_energy(spec: RunSpec):
         suffix = f"_{part}" if len(parts) > 1 else ""
         points = self_energy.sweep_self_energy(spec.config, tm_grid, te_grid, part,
                                                eval_omega=eval_omega, diagonal=diagonal)
-        table = [[pt.delta_tm, pt.delta_te, pt.sigma.real, pt.sigma.imag] for pt in points]
+        sigma = np.array([pt.sigma for pt in points])
+        table = {"delta_tm": [pt.delta_tm for pt in points], "delta_te": [pt.delta_te for pt in points],
+                 "re_sigma": sigma.real, "im_sigma": sigma.imag}
         extra = {"component": part, "sweep": "diagonal" if diagonal else "grid"}
-        written += _write_table(spec, suffix, ["delta_tm", "delta_te", "re_sigma", "im_sigma"], table, extra)
+        written += _write_table(spec, suffix, table, extra)
     return written
 
 
@@ -278,22 +280,20 @@ def _run_spectrum(spec: RunSpec):
     omega_grid = _linspace(run["omega_grid"], "omega_grid")
     detuning_grid = _linspace(run["detuning_grid"], "detuning_grid")
     swept = run.get("swept", "TE")
-    points = spectrum.psd_map(spec.config, omega_grid, detuning_grid, swept=swept,
-                              noise=_noise_from_run(run))
+    psd = spectrum.psd_map(spec.config, omega_grid, detuning_grid, swept=swept,
+                           noise=_noise_from_run(run))
     extra = {"swept": swept}
     written = []
     if "csv" in spec.formats:
         path = _artifact(spec, "", "csv")
-        output.write_csv(path, ["omega", "detuning", "psd"],
-                         [[pt.omega, pt.detuning, pt.psd] for pt in points], _meta(spec, extra))
+        output.write_csv(path, {"omega": output.GridAxis(omega_grid, tile=detuning_grid.size),
+                                "detuning": output.GridAxis(detuning_grid, repeat=omega_grid.size),
+                                "psd": psd.ravel()}, _meta(spec, extra))
         written.append(path)
     if "json" in spec.formats:
         path = _artifact(spec, "", "json")
-        n = omega_grid.size
-        matrix = [[pt.psd for pt in points[k:k + n]] for k in range(0, len(points), n)]
-        output.write_json(path, {"omega": list(map(float, omega_grid)),
-                                 "detuning": list(map(float, detuning_grid)),
-                                 "psd": matrix}, _meta(spec, extra))
+        output.write_json(path, {"omega": omega_grid.tolist(), "detuning": detuning_grid.tolist(),
+                                 "psd": psd.tolist()}, _meta(spec, extra))
         written.append(path)
     return written
 
@@ -326,19 +326,14 @@ def _run_surface(spec: RunSpec):
                               tie_tm_detuning=tie,
                               reference_frequency=float(run.get("reference_frequency", 1e9)))
     ref = surf.reference_frequency
-    table = []
-    for i, p in enumerate(surf.p_grid):
-        for j, d in enumerate(surf.delta_grid):
-            table.append([float(p), float(d),
-                          surf.lambda1[i, j].real - ref, surf.lambda1[i, j].imag,
-                          surf.lambda2[i, j].real - ref, surf.lambda2[i, j].imag,
-                          bool(surf.near_ep[i, j])])
+    table = {"p_in": output.GridAxis(surf.p_grid, repeat=surf.delta_grid.size),
+             "delta": output.GridAxis(surf.delta_grid, tile=surf.p_grid.size),
+             "re_lambda_1": (surf.lambda1.real - ref).ravel(), "im_lambda_1": surf.lambda1.imag.ravel(),
+             "re_lambda_2": (surf.lambda2.real - ref).ravel(), "im_lambda_2": surf.lambda2.imag.ravel(),
+             "near_ep_flag": surf.near_ep.ravel().astype(int)}
     extra = {"reference_frequency": repr(float(ref)),
              "note": "re_lambda columns are offsets from reference_frequency"}
-    columns = ["p_in", "delta", "re_lambda_1", "im_lambda_1", "re_lambda_2", "im_lambda_2",
-               "near_ep_flag"]
-    written = _write_table(spec, "", columns, table, extra,
-                           json_rows=[row[:-1] + [int(row[-1])] for row in table])
+    written = _write_table(spec, "", table, extra)
     records = _ep_records(spec, _region_from_run(run), tie)
     path = _artifact(spec, "_eps", "json")
     output.write_json(path, records, _meta(spec, {"count": str(len(records))}))
@@ -355,8 +350,8 @@ def _run_find_ep(spec: RunSpec):
     written.append(path)
     if "csv" in spec.formats:
         path = _artifact(spec, "", "csv")
-        columns = ["p_in", "delta", "residual", "lambda_re", "lambda_im", "gap"]
-        output.write_csv(path, columns, [[r[c] for c in columns] for r in records],
+        columns = ("p_in", "delta", "residual", "lambda_re", "lambda_im", "gap")
+        output.write_csv(path, {c: np.array([r[c] for r in records], dtype=float) for c in columns},
                          _meta(spec, {"count": str(len(records))}))
         written.append(path)
     return written
@@ -379,9 +374,8 @@ def _loop_from_run(run):
 
 
 def _trajectory_table(traj):
-    return [[traj.times[k], traj.theta[k], traj.p_in[k], traj.delta[k],
-             traj.fractions[k, 0], traj.fractions[k, 1], traj.log_norm[k]]
-            for k in range(traj.times.size)]
+    return {"t": traj.times, "theta": traj.theta, "p_in": traj.p_in, "delta": traj.delta,
+            "f_a": traj.fractions[:, 0], "f_b": traj.fractions[:, 1], "log_norm": traj.log_norm}
 
 
 def _run_encircle(spec: RunSpec):
@@ -394,11 +388,10 @@ def _run_encircle(spec: RunSpec):
     align = int(round(loop.samples * float(run.get("align_shift_fraction", 0.5))))
     report = enc.chirality_report(primary, reverse, align_shift=align,
                                   slope_threshold=float(run.get("slope_threshold", 0.5)))
-    columns = ["t", "theta", "p_in", "delta", "f_a", "f_b", "log_norm"]
     written = []
     for traj, suffix in ((primary, ""), (reverse, "_reverse")):
         extra = {"direction": traj.loop.direction, "period": repr(float(traj.loop.period))}
-        written += _write_table(spec, suffix, columns, _trajectory_table(traj), extra)
+        written += _write_table(spec, suffix, _trajectory_table(traj), extra)
     path = _artifact(spec, "_chirality", "json")
     output.write_json(path, report.to_dict(), _meta(spec))
     written.append(path)

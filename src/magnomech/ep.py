@@ -17,7 +17,8 @@ import logging
 import numpy as np
 
 from .errors import ConfigError, NumericsError
-from .model import SystemConfig, _abs, _checked_grid, _every, _finite, _mul, _pump_coupling, susceptibility
+from .model import (SystemConfig, _abs, _checked_grid, _eval_frequency, _every, _finite, _mul, _pump_coupling,
+                    susceptibility)
 from .self_energy import _dressing, _mediated
 
 log = logging.getLogger(__name__)
@@ -65,15 +66,6 @@ class EpLocation:
         }
 
 
-def _eval_frequency(config):
-    choice = config.sigma_eval_frequency
-    if choice == "at_omega_m":
-        return config.magnon.omega
-    if choice == "at_omega_r":
-        return config.phonon.omega
-    return 0.5 * (config.magnon.omega + config.phonon.omega)
-
-
 def _operator(config, strength_tm, strength_te, det_tm, det_te):
     """Reduced matrix (..., 2, 2) over broadcast strengths and detunings, basis (phonon, magnon).
 
@@ -81,7 +73,7 @@ def _operator(config, strength_tm, strength_te, det_tm, det_te):
     """
     g_a = _pump_coupling(config.tm_photon, det_tm, strength_tm)
     g_b = _pump_coupling(config.te_photon, det_te, strength_te)
-    w_eval = _eval_frequency(config)
+    w_eval = _eval_frequency(config, config.sigma_eval_frequency)
     gamma_te = config.te_photon.gamma
     chi = susceptibility(gamma_te, -det_te, w_eval)
     chi_ref = np.conj(susceptibility(gamma_te, -det_te, -w_eval))
@@ -105,7 +97,7 @@ def build_hamiltonian(config: SystemConfig) -> EffectiveHamiltonian:
     """
     h = _operator(config, config.drive_tm.effective_strength, config.drive_te.effective_strength,
                   config.drive_tm.detuning, config.drive_te.detuning)
-    return EffectiveHamiltonian(h=h, eval_freq=float(_eval_frequency(config)))
+    return EffectiveHamiltonian(h=h, eval_freq=float(_eval_frequency(config, config.sigma_eval_frequency)))
 
 
 def hamiltonian_on_plane(config_template: SystemConfig, p_in, delta,

@@ -227,6 +227,15 @@ def _checked_grid(name, grid, increasing=False):
     return grid
 
 
+def _eval_frequency(config, choice):
+    """Frequency the dressing terms are frozen at: "at_omega_m", "at_omega_r" or the modes' midpoint."""
+    if choice == "at_omega_m":
+        return config.magnon.omega
+    if choice == "at_omega_r":
+        return config.phonon.omega
+    return 0.5 * (config.magnon.omega + config.phonon.omega)
+
+
 def susceptibility(gamma, omega_res, omega):
     """Linear response 1/(gamma/2 - i(omega - omega_res)) of a damped mode.
 

@@ -3,18 +3,33 @@
 Every file carries a metadata header (preset, config hash, unit system,
 column names) and a data section whose bytes depend only on the inputs:
 no timestamps, no environment echoes, platform-stable float formatting.
-CSV metadata lines start with '#'; the data section is everything after
-them. JSON artifacts hold {"metadata": ..., "data": ...} with sorted keys.
+Tables are columns: a mapping from column name to a 1-D array or a
+GridAxis. CSV metadata lines start with '#'; the data section is
+everything after them. JSON artifacts are one compact sorted-key line
+{"metadata": ..., "data": ...}; their data section compares parsed values.
 """
 
 from __future__ import annotations
 
 import hashlib
 import json
+from dataclasses import dataclass
 
 import numpy as np
 
 UNITS_NOTE = "rates in Hz-as-labeled (2e7 means a 20 MHz rate); hbar = 1"
+
+
+@dataclass(frozen=True)
+class GridAxis:
+    """Axis column of a row-major grid: np.tile(np.repeat(values, repeat), tile), formatted per value once."""
+
+    values: np.ndarray
+    repeat: int = 1
+    tile: int = 1
+
+    def __array__(self, dtype=None, copy=None):
+        return np.tile(np.repeat(np.asarray(self.values, dtype=dtype), self.repeat), self.tile)
 
 
 def config_hash(config, run_params=None) -> str:
@@ -23,15 +38,17 @@ def config_hash(config, run_params=None) -> str:
     return hashlib.sha256(blob.encode()).hexdigest()[:16]
 
 
-def _fmt(value):
-    # normalize numpy scalars first: their repr is not stable across versions
-    if isinstance(value, (bool, np.bool_)):
-        return "1" if value else "0"
-    if isinstance(value, np.integer):
-        return str(int(value))
-    if isinstance(value, (float, np.floating)):
-        return repr(float(value))
-    return str(value)
+def format_column(column):
+    """CSV text of a 1-D column, one string per cell: bools as 1/0, ints by str, floats by repr."""
+    if isinstance(column, GridAxis):
+        text = format_column(column.values)
+        return [s for s in text for _ in range(column.repeat)] * column.tile
+    col = np.asarray(column)
+    if col.dtype == np.bool_:
+        return ["1" if v else "0" for v in col.tolist()]
+    if col.dtype.kind in "iu":
+        return list(map(str, col.tolist()))
+    return list(map(repr, col.astype(float).tolist()))
 
 
 def metadata_block(command, preset, config, run_params=None, extra=None):
@@ -46,21 +63,21 @@ def metadata_block(command, preset, config, run_params=None, extra=None):
     return meta
 
 
-def write_csv(path, columns, rows, metadata):
+def write_csv(path, table, metadata):
     """Write a CSV artifact: '#'-prefixed metadata header, then the data section."""
+    cols = [format_column(col) for col in table.values()]
     lines = [f"# {key}: {value}" for key, value in metadata.items()]
-    lines.append(f"# columns: {','.join(columns)}")
-    lines.append(",".join(columns))
-    for row in rows:
-        lines.append(",".join(_fmt(v) for v in row))
+    lines.append(f"# columns: {','.join(table)}")
+    lines.append(",".join(table))
+    lines.extend(map(",".join, zip(*cols)))
     with open(path, "w", newline="") as fh:
         fh.write("\n".join(lines) + "\n")
 
 
 def write_json(path, data, metadata):
+    # one-shot dumps without indent runs the C encoder
     with open(path, "w", newline="") as fh:
-        json.dump({"metadata": metadata, "data": data}, fh, sort_keys=True, indent=2)
-        fh.write("\n")
+        fh.write(json.dumps({"metadata": metadata, "data": data}, sort_keys=True) + "\n")
 
 
 def data_section(path) -> bytes:

@@ -12,8 +12,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import ConfigError
-from .model import (SystemConfig, _abs, _checked_grid, _mul, _pump_coupling, effective_couplings,
-                    susceptibility, te_susceptibility)
+from .model import (SystemConfig, _abs, _checked_grid, _eval_frequency, _mul, _pump_coupling,
+                    effective_couplings, susceptibility, te_susceptibility)
 
 
 @dataclass(frozen=True)
@@ -96,13 +96,6 @@ def sigma_rm(omega, config: SystemConfig) -> complex:
     return _point("rm", omega, config)
 
 
-def _eval_frequency(config, which, eval_omega):
-    if eval_omega is not None:
-        return float(eval_omega)
-    # each quantity is frozen at its own mode's resonance by default
-    return config.phonon.omega if which == "rr" else config.magnon.omega
-
-
 def sweep_self_energy(config_template: SystemConfig, tm_detuning_grid, te_detuning_grid,
                       which: str, eval_omega=None, diagonal: bool = False):
     """Evaluate one self-energy component over a detuning grid.
@@ -123,7 +116,9 @@ def sweep_self_energy(config_template: SystemConfig, tm_detuning_grid, te_detuni
     if not diagonal:
         tm_grid, te_grid = (axis.ravel() for axis in np.meshgrid(tm_grid, te_grid, indexing="ij"))
     cfg = config_template
-    omega = _eval_frequency(cfg, which, eval_omega)
+    # each quantity is frozen at its own mode's resonance by default
+    omega = (float(eval_omega) if eval_omega is not None
+             else _eval_frequency(cfg, "at_omega_r" if which == "rr" else "at_omega_m"))
     g_a = _pump_coupling(cfg.tm_photon, tm_grid, cfg.drive_tm.effective_strength)
     g_b = _pump_coupling(cfg.te_photon, te_grid, cfg.drive_te.effective_strength)
     chi = susceptibility(cfg.te_photon.gamma, -te_grid, omega)

@@ -44,13 +44,6 @@ class NoiseParams:
             raise ConfigError(f"unknown noise channels: {sorted(bad)}")
 
 
-@dataclass(frozen=True)
-class SpectrumPoint:
-    omega: float
-    detuning: float
-    psd: float
-
-
 def _rates(config):
     g = effective_couplings(config)
     te = config.te_photon
@@ -186,19 +179,18 @@ def psd_map(config_template: SystemConfig, omega_grid, detuning_grid, swept: str
             noise: NoiseParams | None = None):
     """PSD over a (frequency, pump-detuning) grid, sweeping the TE or TM drive.
 
-    Returns a row-major list of SpectrumPoint with detuning as the outer
-    axis. Points are independent; evaluation order never changes values.
+    Returns a float array of shape (n_detuning, n_omega): row k is the
+    psd over omega_grid at detuning_grid[k]. Rows are independent;
+    evaluation order never changes values.
     """
     if swept not in ("TE", "TM"):
         raise ConfigError(f"swept must be 'TE' or 'TM', got {swept!r}")
     omega_grid = _checked_grid("omega_grid", omega_grid)
     detuning_grid = _checked_grid("detuning_grid", detuning_grid)
     noise = noise or NoiseParams()
-    points = []
-    for det in detuning_grid:
+    out = np.empty((detuning_grid.size, omega_grid.size))
+    for k, det in enumerate(detuning_grid):
         cfg = (config_template.with_drive_detunings(te=det) if swept == "TE"
                else config_template.with_drive_detunings(tm=det))
-        row = psd(omega_grid, cfg, noise)
-        points.extend(SpectrumPoint(omega=float(w), detuning=float(det), psd=float(p))
-                      for w, p in zip(omega_grid, row))
-    return points
+        out[k] = psd(omega_grid, cfg, noise)
+    return out

@@ -39,8 +39,7 @@ def _preset_psd_grid(name):
     omega = np.linspace(lo, hi, int(n))
     lo, hi, n = p.run_params["detuning_grid"]
     dets = np.linspace(lo, hi, int(n))
-    pts = psd_map(p.config, omega, dets, swept=p.run_params["swept"])
-    grid = np.array([q.psd for q in pts]).reshape(len(dets), len(omega))
+    grid = psd_map(p.config, omega, dets, swept=p.run_params["swept"])
     return p.config, dets, omega, grid
 
 
@@ -124,7 +123,7 @@ def test_criterion_3_noise_map_band_structure():
     c_doc = np.array([len(find_peaks(np.log10(row), prominence=0.2)[0]) for row in strong])
     c_loose = np.array([len(find_peaks(np.log10(row), prominence=0.002)[0]) for row in strong])
     wide = np.linspace(-2.5e9, 3.5e9, 1200)
-    wide_psd = np.array([q.psd for q in psd_map(cfg_s, wide, [0.0], swept="TE")])
+    wide_psd = psd_map(cfg_s, wide, [0.0], swept="TE")[0]
     wide_pk, _ = find_peaks(np.log10(wide_psd), prominence=0.05)
     wide_ghz = ", ".join(f"{v:+.2f}" for v in wide[wide_pk] / 1e9)
     clauses.append((bool(np.max(c_doc) >= 3),
@@ -284,10 +283,11 @@ def test_criterion_7_loop_transport_and_chirality():
                         f"{report.max_aligned_difference:.4f} exceeds 0.05"))
 
     loop_c, cfg_c = _loop_from_preset("fig6c")
-    tighter = evolve(loop_c, cfg_c, rtol=5e-9)
-    drift = float(np.max(np.abs(tighter.fractions[-1] - trajs["fig6c"].fractions[-1])))
+    tighter = evolve(loop_c, cfg_c, rtol=1e-10)
+    drift = float(np.max(np.abs(tighter.fractions - trajs["fig6c"].fractions)))
     clauses.append((drift < 1e-4,
-                    f"tolerance halving moves final fractions by {drift:.2e} (< 1e-4)"))
+                    f"tolerance tightening to rtol/100 moves the fractions by at most {drift:.2e} "
+                    "over every sample (< 1e-4)"))
 
     elapsed = time.perf_counter() - t0
     clauses.append((elapsed < 120.0, f"runtime {elapsed:.1f}s under the 120s budget"))

@@ -12,7 +12,8 @@ from magnomech import cli
 from magnomech.ep import eigenpairs, hamiltonian_on_plane
 from magnomech.errors import NumericsError
 from magnomech.model import effective_couplings
-from magnomech.output import _fmt, config_hash, data_section, metadata_block, write_csv, write_json
+from magnomech.output import (GridAxis, config_hash, data_section, format_column, metadata_block,
+                              write_csv, write_json)
 from magnomech.presets import REGISTRY, get_preset, verify_registry
 
 
@@ -103,8 +104,12 @@ def test_spectrum_outputs_and_jobs_invariance(tmp_path):
     header, rows = read_rows(stems[1] + ".csv")
     assert header == ["omega", "detuning", "psd"]
     assert len(rows) == 31 * 11
-    matrix = read_json(stems[1] + ".json")["data"]["psd"]
+    data = read_json(stems[1] + ".json")["data"]
+    matrix = data["psd"]
     assert len(matrix) == 11 and len(matrix[0]) == 31  # one row per detuning
+    # CSV row k*n_omega + j is the JSON cell psd[k][j] at (omega[j], detuning[k])
+    assert rows == [[data["omega"][j], data["detuning"][k], matrix[k][j]]
+                    for k in range(11) for j in range(31)]
 
 
 def test_spectrum_without_preset_uses_default_base(tmp_path):
@@ -283,17 +288,57 @@ def test_every_preset_is_reachable():
 # --- artifact layer -------------------------------------------------------
 
 
-def test_fmt_normalizes_numpy_scalars():
-    assert _fmt(np.bool_(True)) == "1"
-    assert _fmt(False) == "0"
-    assert _fmt(np.int64(7)) == "7"
-    assert _fmt(np.float64(0.5)) == "0.5"
-    assert _fmt(1.0) == repr(1.0)
+def test_format_column_normalizes_numpy_dtypes():
+    assert format_column(np.array([True, False], dtype=np.bool_)) == ["1", "0"]
+    assert format_column(np.array([7], dtype=np.int64)) == ["7"]
+    assert format_column(np.array([0.5], dtype=np.float64)) == ["0.5"]
+    assert format_column([1.0]) == [repr(1.0)]
+
+
+def test_float_cells_are_exact_reprs(tmp_path):
+    values = [-0.0, float("nan"), float("inf"), float("-inf"), 5e-324, 1e16, 1e-5, 0.1 + 0.2]
+    assert format_column(np.array(values)) == [repr(float(v)) for v in values]
+    path = str(tmp_path / "edge.csv")
+    write_csv(path, {"v": np.array(values), "axis": GridAxis(np.array([-0.0, 0.5]), repeat=4)}, {})
+    with open(path) as fh:
+        _, header, *rows = fh.read().splitlines()
+    assert header == "v,axis"
+    assert rows == [f"{v!r},{a!r}" for v, a in zip(values, [-0.0] * 4 + [0.5] * 4)]
+
+
+def test_grid_axis_text_matches_its_expanded_values():
+    axis = GridAxis(np.array([-0.0, 1e-5, 3.0]), repeat=2, tile=3)
+    expanded = np.asarray(axis)
+    assert np.array_equal(expanded, np.tile(np.repeat(axis.values, 2), 3))
+    assert format_column(axis) == format_column(expanded) == [repr(v) for v in expanded.tolist()]
+
+
+def test_find_ep_with_no_eps_writes_header_only(tmp_path):
+    stem = str(tmp_path / "none")
+    # a window far from the fig5 exceptional point holds none
+    code = cli.main(["find-ep", "--preset", "fig5", "--out", stem, "--format", "csv,json",
+                     "--set", "seeds_per_axis=8", "--set", "region=[[1.2e12,1.5e12],[0,1e7]]"])
+    assert code == 0
+    assert read_json(stem + ".json")["data"] == []
+    with open(stem + ".csv") as fh:
+        lines = fh.read().splitlines()
+    assert [line for line in lines if not line.startswith("#")] == ["p_in,delta,residual,lambda_re,lambda_im,gap"]
+
+
+def test_compact_json_keeps_the_indented_data_section(tmp_path):
+    data = {"b": [1.5, float("nan"), {"z": -0.0, "a": [float("inf"), 5e-324]}], "a": (1, 2)}
+    compact, indented = str(tmp_path / "compact.json"), str(tmp_path / "indented.json")
+    write_json(compact, data, {"tool": "x"})
+    with open(indented, "w") as fh:
+        json.dump({"metadata": {"tool": "x"}, "data": data}, fh, sort_keys=True, indent=2)
+    assert data_section(compact) == data_section(indented)
+    with open(compact) as fh:
+        assert fh.read().count("\n") == 1
 
 
 def test_csv_data_section_excludes_metadata(tmp_path):
     path = str(tmp_path / "t.csv")
-    write_csv(path, ["a", "b"], [[1.0, 2.0]], {"tool": "x", "stamp": "y"})
+    write_csv(path, {"a": [1.0], "b": [2.0]}, {"tool": "x", "stamp": "y"})
     section = data_section(path)
     assert b"stamp" not in section
     assert section.startswith(b"a,b\n")

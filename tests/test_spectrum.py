@@ -84,26 +84,21 @@ def test_psd_map_ordering_and_sweep_axis():
     cfg = build_config(delta_tm=-3e6)
     omega = np.linspace(0.8e9, 1.0e9, 3)
     dets = np.array([-1e7, 0.0])
-    pts = psd_map(cfg, omega, dets, swept="TE")
-    assert len(pts) == 6
-    # detuning outer, omega inner
-    assert [p.detuning for p in pts[:3]] == [-1e7] * 3
-    assert [p.omega for p in pts[:3]] == list(omega)
-    # each cell reproducible by a single-config psd call
-    direct = psd(omega[1], cfg.with_drive_detunings(te=-1e7))
-    assert pts[1].psd == direct
-
-    tm_pts = psd_map(cfg, omega, dets, swept="TM")
-    direct_tm = psd(omega[0], cfg.with_drive_detunings(tm=0.0))
-    assert tm_pts[3].psd == direct_tm
-    assert tm_pts != pts
+    grids = {}
+    for swept, key in (("TE", "te"), ("TM", "tm")):
+        grids[swept] = psd_map(cfg, omega, dets, swept=swept)
+        # detuning outer, omega inner
+        assert grids[swept].shape == (dets.size, omega.size)
+        for k, det in enumerate(dets):
+            assert np.array_equal(grids[swept][k], psd(omega, cfg.with_drive_detunings(**{key: det})))
+    assert not np.array_equal(grids["TE"], grids["TM"])
 
 
 def test_psd_map_validates_inputs():
     cfg = build_config()
     with pytest.raises(ConfigError, match="omega_grid must be strictly monotone"):
         psd_map(cfg, [1e9, 0.5e9, 2e9], [0.0], swept="TE")
-    assert len(psd_map(cfg, [1e9], [0.0, -1e7], swept="TE")) == 2  # decreasing is monotone
+    assert psd_map(cfg, [1e9], [0.0, -1e7], swept="TE").shape == (2, 1)  # decreasing is monotone
     with pytest.raises(ConfigError):
         psd_map(cfg, [1e9], [0.0], swept="sideways")
 
