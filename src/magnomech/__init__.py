@@ -21,7 +21,6 @@ from .encircle import (
     parameters_at,
 )
 from .ep import (
-    EffectiveHamiltonian,
     EigenPair,
     EpLocation,
     SurfaceResult,
@@ -47,7 +46,6 @@ from .model import (
 )
 from .presets import Preset, get_preset, REGISTRY
 from .self_energy import (
-    SelfEnergyPoint,
     sigma_mm,
     sigma_mr,
     sigma_rm,
@@ -68,7 +66,6 @@ __all__ = [
     "ChiralityReport",
     "ConfigError",
     "EffectiveCoupling",
-    "EffectiveHamiltonian",
     "EigenPair",
     "EpLocation",
     "LoopSpec",
@@ -78,7 +75,6 @@ __all__ = [
     "Preset",
     "PumpDrive",
     "REGISTRY",
-    "SelfEnergyPoint",
     "SurfaceResult",
     "SystemConfig",
     "Trajectory",

@@ -31,12 +31,11 @@ from .errors import ConfigError, NumericsError
 from .model import SystemConfig, effective_couplings
 
 CONFIG_PREFIXES = ("tm_photon.", "te_photon.", "magnon.", "phonon.", "drive_tm.", "drive_te.")
-CONFIG_SCALARS = ("conjugation_convention", "sigma_eval_frequency")
 
 # run-parameter allowlist per command; dotted keys address nested maps
 RUN_KEYS = {
     "coupling": set(),
-    "self-energy": {"which", "diagonal", "tm_grid", "te_grid", "parts", "eval_omega"},
+    "self-energy": {"which", "diagonal", "tm_grid", "te_grid", "parts"},
     "spectrum": {"swept", "omega_grid", "detuning_grid", "noise.unit_psd", "noise.channels"},
     "surface": {"p_grid", "delta_grid", "region", "seeds_per_axis", "tie", "reference_frequency",
                 "near_ep_rel"},
@@ -153,8 +152,6 @@ def load_config(path, overrides=None, base_config=None, command=None, run_params
             except KeyError:
                 raise ConfigError(f"unknown config key {key!r}") from None
             config_dict[branch][name][field_name] = value
-        elif key in CONFIG_SCALARS:
-            config_dict[key] = value
         elif key in allowed_runs:
             _set_nested(run_params, key, value)
         else:
@@ -249,15 +246,16 @@ def _run_self_energy(spec: RunSpec):
     te_grid = _linspace(run.get("te_grid", [-1e8, 1e8, 41]), "te_grid")
     diagonal = bool(run.get("diagonal", False))
     parts = run.get("parts") or [run.get("which", "mm")]
-    eval_omega = run.get("eval_omega")
+    if diagonal:
+        axes = {"delta_tm": tm_grid, "delta_te": te_grid}
+    else:
+        axes = {"delta_tm": output.GridAxis(tm_grid, repeat=te_grid.size),
+                "delta_te": output.GridAxis(te_grid, tile=tm_grid.size)}
     written = []
     for part in parts:
         suffix = f"_{part}" if len(parts) > 1 else ""
-        points = self_energy.sweep_self_energy(spec.config, tm_grid, te_grid, part,
-                                               eval_omega=eval_omega, diagonal=diagonal)
-        sigma = np.array([pt.sigma for pt in points])
-        table = {"delta_tm": [pt.delta_tm for pt in points], "delta_te": [pt.delta_te for pt in points],
-                 "re_sigma": sigma.real, "im_sigma": sigma.imag}
+        sigma = self_energy.sweep_self_energy(spec.config, tm_grid, te_grid, part, diagonal=diagonal)
+        table = {**axes, "re_sigma": sigma.real, "im_sigma": sigma.imag}
         extra = {"component": part, "sweep": "diagonal" if diagonal else "grid"}
         written += _write_table(spec, suffix, table, extra)
     return written

@@ -10,7 +10,7 @@ global phase. The state is renormalized at every sample.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 import numpy as np
 
 from .errors import ConfigError, NumericsError
@@ -49,9 +49,7 @@ class LoopSpec:
         return 1.0 if self.direction == "ccw" else -1.0
 
     def reversed(self):
-        return LoopSpec(center=self.center, radius_units=self.radius_units, unit_scale=self.unit_scale,
-                        direction="cw" if self.direction == "ccw" else "ccw", period=self.period,
-                        start_phase=self.start_phase, samples=self.samples)
+        return replace(self, direction="cw" if self.direction == "ccw" else "ccw")
 
 
 @dataclass(frozen=True)

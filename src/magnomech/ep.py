@@ -1,7 +1,7 @@
 """Reduced two-mode non-Hermitian operator, its eigenvalue surfaces and EPs.
 
 The mechanical and magnetic modes, dressed by the driven optical response
-frozen at a fixed evaluation frequency, form an effective 2x2 complex
+frozen at the magnon resonance, form an effective 2x2 complex
 matrix. Exceptional points are parameter points where its two eigenvalues
 and eigenvectors coalesce, i.e. zeros of the quadratic discriminant. The
 search plane is (common drive strength p_in, TE pump detuning delta); both
@@ -17,8 +17,7 @@ import logging
 import numpy as np
 
 from .errors import ConfigError, NumericsError
-from .model import (SystemConfig, _abs, _checked_grid, _eval_frequency, _every, _finite, _mul, _pump_coupling,
-                    susceptibility)
+from .model import SystemConfig, _abs, _checked_grid, _every, _finite, _mul, _pump_coupling, susceptibility
 from .self_energy import _dressing, _mediated
 
 log = logging.getLogger(__name__)
@@ -27,16 +26,6 @@ log = logging.getLogger(__name__)
 # move in 1e11 steps, detunings in 1e6 steps on the physically useful window
 P_UNIT = 1e11
 DELTA_UNIT = 1e6
-
-
-@dataclass(frozen=True)
-class EffectiveHamiltonian:
-    h: np.ndarray
-    eval_freq: float
-
-    def __post_init__(self):
-        if self.h.shape != (2, 2) or not np.all(np.isfinite(self.h)):
-            raise NumericsError("effective 2x2 matrix must be finite with shape (2, 2)")
 
 
 @dataclass(frozen=True)
@@ -73,11 +62,11 @@ def _operator(config, strength_tm, strength_te, det_tm, det_te):
     """
     g_a = _pump_coupling(config.tm_photon, det_tm, strength_tm)
     g_b = _pump_coupling(config.te_photon, det_te, strength_te)
-    w_eval = _eval_frequency(config, config.sigma_eval_frequency)
+    w_eval = config.magnon.omega  # every dressing term is frozen at the magnon resonance
     gamma_te = config.te_photon.gamma
     chi = susceptibility(gamma_te, -det_te, w_eval)
     chi_ref = np.conj(susceptibility(gamma_te, -det_te, -w_eval))
-    args = (g_a, g_b, chi, chi_ref, config.conjugation_convention)
+    args = (g_a, g_b, chi, chi_ref)
     h = np.empty(np.broadcast_shapes(np.shape(g_a), np.shape(g_b)) + (2, 2), dtype=complex)
     h[..., 0, 0] = config.phonon.omega - 0.5j * config.phonon.gamma + _dressing("rr", *args)
     # conj(g_a)*g_b*chi; eliminating the 6x6 system of spectrum gives g_a*conj(g_b)*chi
@@ -88,16 +77,21 @@ def _operator(config, strength_tm, strength_te, det_tm, det_te):
     return h
 
 
-def build_hamiltonian(config: SystemConfig) -> EffectiveHamiltonian:
-    """Assemble the reduced matrix, basis order (phonon, magnon).
+def _checked(h):
+    if not _finite(h):
+        raise NumericsError("effective 2x2 matrix evaluated non-finite")
+    return h
+
+
+def build_hamiltonian(config: SystemConfig) -> np.ndarray:
+    """Assemble the reduced (2, 2) matrix, basis order (phonon, magnon).
 
     Diagonal: bare complex resonances plus the optical dressing of each
     mode; off-diagonal: the light-mediated couplings. All dressing terms
-    are frozen at one evaluation frequency selected by the config.
+    are frozen at the magnon resonance.
     """
-    h = _operator(config, config.drive_tm.effective_strength, config.drive_te.effective_strength,
-                  config.drive_tm.detuning, config.drive_te.detuning)
-    return EffectiveHamiltonian(h=h, eval_freq=float(_eval_frequency(config, config.sigma_eval_frequency)))
+    return _checked(_operator(config, config.drive_tm.effective_strength, config.drive_te.effective_strength,
+                              config.drive_tm.detuning, config.drive_te.detuning))
 
 
 def hamiltonian_on_plane(config_template: SystemConfig, p_in, delta,
@@ -109,16 +103,7 @@ def hamiltonian_on_plane(config_template: SystemConfig, p_in, delta,
     if not (_finite(p_in) and _finite(delta) and _every(p_in >= 0)):
         raise ConfigError("plane points need finite drive strengths >= 0 and finite detunings")
     det_tm = delta if tie_tm_detuning else config_template.drive_tm.detuning
-    h = _operator(config_template, p_in, p_in, det_tm, delta)
-    if not _finite(h):
-        raise NumericsError("effective 2x2 matrix evaluated non-finite")
-    return h
-
-
-def _as_matrix(h) -> np.ndarray:
-    if isinstance(h, EffectiveHamiltonian):
-        h = h.h
-    return np.asarray(h, dtype=complex)
+    return _checked(_operator(config_template, p_in, p_in, det_tm, delta))
 
 
 def _entries(h):
@@ -130,14 +115,14 @@ def _entries(h):
 
 def discriminant(h):
     """Quadratic discriminant of one 2x2 matrix (a complex) or of a stack; eigenvalues coalesce at its zeros."""
-    h00, h01, h10, h11 = _entries(_as_matrix(h))
+    h00, h01, h10, h11 = _entries(np.asarray(h, dtype=complex))
     d = _mul(h00 - h11, h00 - h11) + _mul(4 * h01, h10)
     return complex(d) if np.ndim(d) == 0 else d
 
 
 def eigenvalues(h):
     """Closed-form (lambda_plus, lambda_minus) of one 2x2 matrix or a stack; plus takes the principal root."""
-    h00, _, _, h11 = _entries(_as_matrix(h))
+    h00, _, _, h11 = _entries(np.asarray(h, dtype=complex))
     tr = h00 + h11
     sq = np.sqrt(discriminant(h))
     return (tr + sq) / 2, (tr - sq) / 2
@@ -170,7 +155,7 @@ def eigenpairs(h) -> EigenPair:
     continuity tracking along sweeps is the surface code's job, not this
     function's.
     """
-    h = _as_matrix(h)
+    h = np.asarray(h, dtype=complex)
     if h.shape != (2, 2) or not np.all(np.isfinite(h)):
         raise NumericsError("eigenpairs expects a finite 2x2 matrix")
     lam_p, lam_m = eigenvalues(h)

@@ -27,12 +27,6 @@ PHONON = "phonon"
 
 MODE_LABELS = (TM_PHOTON, TE_PHOTON, MAGNON, PHONON)
 
-# magnon self-term convention: complex square of the coupling vs magnitude square
-CONJUGATION_CONVENTIONS = ("complex_squared", "magnitude_squared")
-
-# frequency at which the reduced 2x2 operator freezes its optical corrections
-SIGMA_EVAL_CHOICES = ("at_omega_m", "at_omega_r", "at_midpoint")
-
 
 @dataclass(frozen=True)
 class OscillatorMode:
@@ -86,7 +80,7 @@ class PumpDrive:
 
 @dataclass(frozen=True)
 class SystemConfig:
-    """Full parameter bundle: four modes, two drives, convention switches."""
+    """Full parameter bundle: four modes and two drives."""
 
     tm_photon: OscillatorMode
     te_photon: OscillatorMode
@@ -94,8 +88,6 @@ class SystemConfig:
     phonon: OscillatorMode
     drive_tm: PumpDrive
     drive_te: PumpDrive
-    conjugation_convention: str = "complex_squared"
-    sigma_eval_frequency: str = "at_omega_m"
 
     def __post_init__(self):
         for attr in MODE_LABELS:
@@ -106,14 +98,6 @@ class SystemConfig:
             raise ConfigError("SystemConfig.drive_tm must target the tm_photon mode")
         if self.drive_te.target != TE_PHOTON:
             raise ConfigError("SystemConfig.drive_te must target the te_photon mode")
-        if self.conjugation_convention not in CONJUGATION_CONVENTIONS:
-            raise ConfigError(
-                f"conjugation_convention must be one of {CONJUGATION_CONVENTIONS}, got {self.conjugation_convention!r}"
-            )
-        if self.sigma_eval_frequency not in SIGMA_EVAL_CHOICES:
-            raise ConfigError(
-                f"sigma_eval_frequency must be one of {SIGMA_EVAL_CHOICES}, got {self.sigma_eval_frequency!r}"
-            )
 
     # sweep helpers; frozen dataclasses so these return fresh bundles
     def with_drive_detunings(self, tm=None, te=None):
@@ -142,8 +126,6 @@ class SystemConfig:
                 "tm": {"detuning": self.drive_tm.detuning, "effective_strength": self.drive_tm.effective_strength},
                 "te": {"detuning": self.drive_te.detuning, "effective_strength": self.drive_te.effective_strength},
             },
-            "conjugation_convention": self.conjugation_convention,
-            "sigma_eval_frequency": self.sigma_eval_frequency,
         }
 
     @classmethod
@@ -159,14 +141,10 @@ class SystemConfig:
             }
         except (KeyError, TypeError) as exc:
             raise ConfigError(f"malformed config mapping: {exc}") from exc
-        extra = {}
-        for key in ("conjugation_convention", "sigma_eval_frequency"):
-            if key in data:
-                extra[key] = data[key]
-        unknown = set(data) - {"modes", "drives", "conjugation_convention", "sigma_eval_frequency"}
+        unknown = set(data) - {"modes", "drives"}
         if unknown:
             raise ConfigError(f"unknown config keys: {sorted(unknown)}")
-        return cls(**modes, **drives, **extra)
+        return cls(**modes, **drives)
 
 
 @dataclass(frozen=True)
@@ -225,15 +203,6 @@ def _checked_grid(name, grid, increasing=False):
     if not (np.all(step == 1) or (not increasing and np.all(step == -1))):
         raise ConfigError(f"{name} must be strictly {'increasing' if increasing else 'monotone'}")
     return grid
-
-
-def _eval_frequency(config, choice):
-    """Frequency the dressing terms are frozen at: "at_omega_m", "at_omega_r" or the modes' midpoint."""
-    if choice == "at_omega_m":
-        return config.magnon.omega
-    if choice == "at_omega_r":
-        return config.phonon.omega
-    return 0.5 * (config.magnon.omega + config.phonon.omega)
 
 
 def susceptibility(gamma, omega_res, omega):

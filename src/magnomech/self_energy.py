@@ -8,27 +8,11 @@ mutual coupling carried by the shared optical response.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 import numpy as np
 
 from .errors import ConfigError
-from .model import (SystemConfig, _abs, _checked_grid, _eval_frequency, _mul, _pump_coupling,
-                    effective_couplings, susceptibility, te_susceptibility)
-
-
-@dataclass(frozen=True)
-class SelfEnergyPoint:
-    delta_tm: float
-    delta_te: float
-    sigma: complex
-
-    @property
-    def freq_shift(self):
-        return self.sigma.real
-
-    @property
-    def damping_shift(self):
-        return self.sigma.imag
+from .model import (SystemConfig, _abs, _checked_grid, _mul, _pump_coupling, effective_couplings,
+                    susceptibility, te_susceptibility)
 
 
 def _mediated(left, right, chi):
@@ -37,7 +21,7 @@ def _mediated(left, right, chi):
     return _mul(_mul(-1j * left, right), chi)
 
 
-def _dressing(which, g_a, g_b, chi, chi_ref, convention):
+def _dressing(which, g_a, g_b, chi, chi_ref):
     """One expression per dressing term, on scalars or arrays: for sigma_*, the sweep and ep's operator.
 
     chi_ref, the conjugate TE response at minus the frequency, is read by "rr" only.
@@ -45,9 +29,7 @@ def _dressing(which, g_a, g_b, chi, chi_ref, convention):
     if which == "rr":
         return -1j * _abs(g_b) ** 2 * (chi - chi_ref)
     if which == "mm":
-        if convention == "complex_squared":
-            return _mediated(g_a, g_a, chi)
-        return -1j * _abs(g_a) ** 2 * chi
+        return _mediated(g_a, g_a, chi)
     return _mediated(g_a, g_b if which == "mr" else np.conj(g_b), chi)
 
 
@@ -55,7 +37,7 @@ def _point(which, omega, config):
     g = effective_couplings(config)
     chi = te_susceptibility(config, omega)
     chi_ref = np.conj(te_susceptibility(config, -np.asarray(omega))) if which == "rr" else None
-    out = _dressing(which, g.g_a, g.g_b, chi, chi_ref, config.conjugation_convention)
+    out = _dressing(which, g.g_a, g.g_b, chi, chi_ref)
     return complex(out) if np.ndim(out) == 0 else out
 
 
@@ -74,9 +56,8 @@ def sigma_mm(omega, config: SystemConfig) -> complex:
 
     Single-sideband structure: only the co-rotating optical response enters,
     so both signs of frequency shift and of damping shift are reachable.
-    The conjugation_convention switch selects whether the coupling enters
-    as a complex square or as a magnitude square (the two coincide whenever
-    the coupling is real, i.e. at zero pump detuning on the other branch).
+    The coupling enters as its complex square g_a**2, not as |g_a|**2, so
+    the TM pump detuning rotates the phase of this term.
     """
     return _point("mm", omega, config)
 
@@ -97,15 +78,16 @@ def sigma_rm(omega, config: SystemConfig) -> complex:
 
 
 def sweep_self_energy(config_template: SystemConfig, tm_detuning_grid, te_detuning_grid,
-                      which: str, eval_omega=None, diagonal: bool = False):
-    """Evaluate one self-energy component over a detuning grid.
+                      which: str, diagonal: bool = False) -> np.ndarray:
+    """One self-energy component over a detuning grid, as a flat complex array.
 
-    Cross-product sweep by default, TM detuning as the outer axis, row
-    major. With diagonal=True the two grids are zipped instead: cell i is
+    Cross-product sweep by default: cell i*len(te_grid) + j is
+    (tm_grid[i], te_grid[j]), TM detuning the outer axis. With
+    diagonal=True the two grids are zipped instead: cell i is
     (tm_grid[i], te_grid[i]), the single-pump-frequency (monochromatic)
-    cut. Each component is evaluated at its own mode's resonance unless
-    eval_omega overrides that. The whole grid is one array evaluation;
-    every cell equals the point function at that cell's detunings.
+    cut. "rr" is frozen at the phonon resonance, the others at the magnon
+    resonance. The whole grid is one array evaluation; every cell equals
+    the point function at that cell's detunings.
     """
     if which not in ("mm", "mr", "rm", "rr"):
         raise ConfigError(f"unknown self-energy component {which!r}; expected one of ['mm', 'mr', 'rm', 'rr']")
@@ -116,13 +98,9 @@ def sweep_self_energy(config_template: SystemConfig, tm_detuning_grid, te_detuni
     if not diagonal:
         tm_grid, te_grid = (axis.ravel() for axis in np.meshgrid(tm_grid, te_grid, indexing="ij"))
     cfg = config_template
-    # each quantity is frozen at its own mode's resonance by default
-    omega = (float(eval_omega) if eval_omega is not None
-             else _eval_frequency(cfg, "at_omega_r" if which == "rr" else "at_omega_m"))
+    omega = cfg.phonon.omega if which == "rr" else cfg.magnon.omega
     g_a = _pump_coupling(cfg.tm_photon, tm_grid, cfg.drive_tm.effective_strength)
     g_b = _pump_coupling(cfg.te_photon, te_grid, cfg.drive_te.effective_strength)
     chi = susceptibility(cfg.te_photon.gamma, -te_grid, omega)
     chi_ref = np.conj(susceptibility(cfg.te_photon.gamma, -te_grid, -omega))
-    sigma = _dressing(which, g_a, g_b, chi, chi_ref, cfg.conjugation_convention)
-    return [SelfEnergyPoint(delta_tm=d_tm, delta_te=d_te, sigma=s)
-            for d_tm, d_te, s in zip(tm_grid.tolist(), te_grid.tolist(), sigma.tolist())]
+    return _dressing(which, g_a, g_b, chi, chi_ref)

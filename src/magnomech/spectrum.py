@@ -44,22 +44,14 @@ class NoiseParams:
             raise ConfigError(f"unknown noise channels: {sorted(bad)}")
 
 
-def _rates(config):
-    g = effective_couplings(config)
-    te = config.te_photon
-    ph = config.phonon
-    mg = config.magnon
-    # magnon-row coupling carries the convention switch; the optical-row
-    # coupling is the definition of g_a and stays fixed
-    ga_row = g.g_a if config.conjugation_convention == "complex_squared" else np.conj(g.g_a)
-    return g, te.gamma, ph.gamma, mg.gamma, ph.omega, mg.omega, config.drive_te.detuning, ga_row
-
-
 def _assemble(omega, config):
     """Batched system matrix A (n,6,6) and channel drive matrix (n,6,4)."""
     w = np.atleast_1d(np.asarray(omega, dtype=float))
-    g, kb, gr, gm, om_r, om_m, db, ga_row = _rates(config)
+    g = effective_couplings(config)
     ga, gb = g.g_a, g.g_b
+    kb, db = config.te_photon.gamma, config.drive_te.detuning
+    gr, om_r = config.phonon.gamma, config.phonon.omega
+    gm, om_m = config.magnon.gamma, config.magnon.omega
     n = w.size
     A = np.zeros((n, 6, 6), dtype=complex)
     A[:, 0, 0] = kb / 2 - 1j * (w + db)
@@ -76,8 +68,8 @@ def _assemble(omega, config):
     A[:, 2, 1] = 1j * gb
     A[:, 3, 0] = -1j * np.conj(gb)
     A[:, 3, 1] = -1j * gb
-    A[:, 4, 0] = 1j * ga_row
-    A[:, 5, 1] = -1j * np.conj(ga_row)
+    A[:, 4, 0] = 1j * ga
+    A[:, 5, 1] = -1j * np.conj(ga)
     rhs = np.zeros((n, 6, 4), dtype=complex)
     rhs[:, 2, 0] = np.sqrt(gr)
     rhs[:, 3, 1] = np.sqrt(gr)
@@ -118,12 +110,14 @@ def linear_system_response(omega, config: SystemConfig, noise: NoiseParams | Non
 
 def _loop_pieces(omega, config):
     """Scalar elimination pieces at one frequency: 1/X, Y and the bare susceptibilities."""
-    g, kb, gr, gm, om_r, om_m, db, ga_row = _rates(config)
+    g = effective_couplings(config)
+    gr, om_r = config.phonon.gamma, config.phonon.omega
     chi_r = susceptibility(gr, om_r, omega)
     chi_r_ref = np.conj(susceptibility(gr, om_r, -omega))
-    chi_m = susceptibility(gm, om_m, omega)
+    chi_m = susceptibility(config.magnon.gamma, config.magnon.omega, omega)
     d_r = chi_r - chi_r_ref
-    x_inv = kb / 2 - 1j * (omega + db) + abs(g.g_b) ** 2 * d_r + g.g_a * ga_row * chi_m
+    x_inv = (config.te_photon.gamma / 2 - 1j * (omega + config.drive_te.detuning) + abs(g.g_b) ** 2 * d_r
+             + g.g_a * g.g_a * chi_m)
     y = g.g_b**2 * d_r
     return x_inv, y, chi_r, chi_r_ref, chi_m
 

@@ -11,7 +11,7 @@ from magnomech.model import (
 
 def build_config(omega_m=8.5e8, omega_r=1.15e9, gamma_m=2e7, gamma_r=2e7,
                  kappa_tm=2e7, kappa_te=2e7, strength_tm=0.6e12, strength_te=0.6e12,
-                 delta_tm=0.0, delta_te=0.0, **kw):
+                 delta_tm=0.0, delta_te=0.0):
     """One-call config for tests; optical modes critically coupled at zero carrier."""
     return SystemConfig(
         tm_photon=critical_mode("tm_photon", 0.0, kappa_tm),
@@ -20,7 +20,6 @@ def build_config(omega_m=8.5e8, omega_r=1.15e9, gamma_m=2e7, gamma_r=2e7,
         phonon=OscillatorMode("phonon", omega_r, gamma_r),
         drive_tm=PumpDrive("tm_photon", delta_tm, strength_tm),
         drive_te=PumpDrive("te_photon", delta_te, strength_te),
-        **kw,
     )
 
 

@@ -301,7 +301,7 @@ def test_criterion_8_zero_drive_reductions():
     assert g.g_a == 0 and g.g_b == 0
     for fn in (sigma_rr, sigma_mm, sigma_mr, sigma_rm):
         assert fn(5e6, cfg) == 0
-    h = build_hamiltonian(cfg).h
+    h = build_hamiltonian(cfg)
     assert h[0, 1] == 0 and h[1, 0] == 0
     assert h[0, 0] == cfg.phonon.omega - 0.5j * cfg.phonon.gamma
     assert h[1, 1] == cfg.magnon.omega - 0.5j * cfg.magnon.gamma

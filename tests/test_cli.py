@@ -207,9 +207,14 @@ def test_bad_override_exits_2(tmp_path, capsys):
     err = json.loads(capsys.readouterr().err)
     assert err["error"]["type"] == "config"
     assert "nonsense" in err["error"]["message"]
-    # carrier_offset is not a run key, and a non-positive rtol is refused
-    for override, key in (("carrier_offset=1e9", "carrier_offset"), ("rtol=-1", "rtol")):
-        assert cli.main(["encircle", "--preset", "fig6a", "--out", stem, "--set", override]) == 2
+    # convention names and eval_omega are not keys, and a non-positive rtol is refused
+    for command, preset, override, key in (
+            ("encircle", "fig6a", "carrier_offset=1e9", "carrier_offset"),
+            ("encircle", "fig6a", "rtol=-1", "rtol"),
+            ("coupling", "fig5", "conjugation_convention=complex_squared", "conjugation_convention"),
+            ("coupling", "fig5", "sigma_eval_frequency=at_omega_m", "sigma_eval_frequency"),
+            ("self-energy", "fig2a", "eval_omega=1e9", "eval_omega")):
+        assert cli.main([command, "--preset", preset, "--out", stem, "--set", override]) == 2
         err = json.loads(capsys.readouterr().err)
         assert err["error"]["type"] == "config"
         assert key in err["error"]["message"]

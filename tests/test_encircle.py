@@ -56,6 +56,7 @@ def test_loop_geometry():
     # reflection symmetry between the two directions
     cw = loop.reversed()
     assert cw.direction == "cw"
+    assert cw.reversed() == loop  # every other field carries over
     t = 0.3 * loop.period
     assert parameters_at(loop, t) == pytest.approx(parameters_at(cw, loop.period - t))
 

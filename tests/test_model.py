@@ -97,16 +97,8 @@ def test_config_slot_labels_enforced():
         )
 
 
-def test_config_enum_switches_validated():
-    with pytest.raises(ConfigError):
-        build_config(conjugation_convention="banana")
-    with pytest.raises(ConfigError):
-        build_config(sigma_eval_frequency="at_noon")
-
-
 def test_config_round_trip():
-    cfg = build_config(delta_tm=-3e6, delta_te=-5.5e6, strength_tm=8.7e11,
-                       conjugation_convention="magnitude_squared")
+    cfg = build_config(delta_tm=-3e6, delta_te=-5.5e6, strength_tm=8.7e11)
     again = SystemConfig.from_dict(cfg.to_dict())
     assert again == cfg
 
@@ -115,6 +107,11 @@ def test_from_dict_rejects_unknown_keys():
     payload = build_config().to_dict()
     payload["extra_knob"] = 1
     with pytest.raises(ConfigError, match="extra_knob"):
+        SystemConfig.from_dict(payload)
+    # a convention name is not a config key either
+    payload = build_config().to_dict()
+    payload["conjugation_convention"] = "complex_squared"
+    with pytest.raises(ConfigError, match="conjugation_convention"):
         SystemConfig.from_dict(payload)
 
 

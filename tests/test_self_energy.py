@@ -1,5 +1,3 @@
-from dataclasses import replace
-
 import numpy as np
 import pytest
 
@@ -66,26 +64,6 @@ def test_zero_drive_kills_all_terms():
         assert fn(5e6, cfg) == 0
 
 
-def test_convention_switch_preserves_mm_modulus(rng):
-    """The two conjugation conventions differ only in the phase carried by g_a."""
-    for _ in range(10):
-        cfg = random_config(rng)
-        w = rng.uniform(-3e7, 3e7)
-        flipped = replace(cfg, conjugation_convention="magnitude_squared")
-        a = sigma_mm(w, cfg)
-        b = sigma_mm(w, flipped)
-        assert abs(a) == pytest.approx(abs(b), rel=1e-13)
-        # the mechanical term carries no g_a at all: identical either way
-        assert sigma_rr(w, cfg) == sigma_rr(w, flipped)
-
-
-def test_convention_switch_identity_for_real_coupling():
-    cfg = build_config(delta_tm=0.0, delta_te=-8e6)  # resonant TM pump: g_a real
-    flipped = replace(cfg, conjugation_convention="magnitude_squared")
-    w = 4e6
-    assert sigma_mm(w, cfg) == pytest.approx(sigma_mm(w, flipped), rel=1e-14)
-
-
 def test_sigma_vectorized_over_omega():
     cfg = build_config(delta_te=-1e7)
     grid = np.linspace(-5e7, 5e7, 41)
@@ -95,35 +73,26 @@ def test_sigma_vectorized_over_omega():
 
 
 def test_sweep_cross_product_row_major():
-    cfg = build_config()
-    tm = [-1e6, 0.0, 1e6]
-    te = [-2e6, 2e6]
-    pts = sweep_self_energy(cfg, tm, te, "mm")
-    assert len(pts) == 6
-    assert [p.delta_tm for p in pts] == [-1e6, -1e6, 0.0, 0.0, 1e6, 1e6]
-    assert [p.delta_te for p in pts] == [-2e6, 2e6, -2e6, 2e6, -2e6, 2e6]
-    # every cell of every component equals the point function on the rebuilt config
+    # every cell of every component equals the point function on the rebuilt config, TM the outer axis
     tm = np.linspace(-4e7, 3e7, 6)
     te = np.linspace(2e7, -5e7, 5)
-    for convention in ("complex_squared", "magnitude_squared"):
-        base = replace(build_config(strength_tm=8e11, strength_te=5e11, delta_tm=-3e6),
-                       conjugation_convention=convention)
-        for which, fn in (("rr", sigma_rr), ("mm", sigma_mm), ("mr", sigma_mr), ("rm", sigma_rm)):
-            omega = base.phonon.omega if which == "rr" else base.magnon.omega
-            pts = sweep_self_energy(base, tm, te, which)
-            assert len(pts) == tm.size * te.size
-            for k, p in enumerate(pts):
-                assert (p.delta_tm, p.delta_te) == (tm[k // te.size], te[k % te.size])
-                assert p.sigma == fn(omega, base.with_drive_detunings(tm=p.delta_tm, te=p.delta_te))
+    base = build_config(strength_tm=8e11, strength_te=5e11, delta_tm=-3e6)
+    for which, fn in (("rr", sigma_rr), ("mm", sigma_mm), ("mr", sigma_mr), ("rm", sigma_rm)):
+        omega = base.phonon.omega if which == "rr" else base.magnon.omega
+        sigma = sweep_self_energy(base, tm, te, which)
+        assert sigma.shape == (tm.size * te.size,) and sigma.dtype == complex
+        for k, value in enumerate(sigma.tolist()):
+            assert value == fn(omega, base.with_drive_detunings(tm=tm[k // te.size], te=te[k % te.size]))
 
 
 def test_sweep_diagonal_mode():
     cfg = build_config()
     grid = np.linspace(-5e7, 5e7, 11)
-    pts = sweep_self_energy(cfg, grid, grid, "rr", diagonal=True)
-    assert len(pts) == 11
-    for p in pts:
-        assert p.delta_tm == p.delta_te
+    for which, fn, omega in (("rr", sigma_rr, cfg.phonon.omega), ("mr", sigma_mr, cfg.magnon.omega)):
+        sigma = sweep_self_energy(cfg, grid, grid, which, diagonal=True)
+        assert sigma.shape == (11,)
+        for d, value in zip(grid, sigma.tolist()):
+            assert value == fn(omega, cfg.with_drive_detunings(tm=d, te=d))
     with pytest.raises(ConfigError):
         sweep_self_energy(cfg, grid, grid[:5], "rr", diagonal=True)
 
@@ -138,10 +107,3 @@ def test_sweep_validates_grids_and_component():
     with pytest.raises(ConfigError):
         sweep_self_energy(cfg, [0.0], [0.0], "xy")
 
-
-def test_shift_and_damping_split():
-    cfg = build_config(delta_te=-1.5e7)
-    pts = sweep_self_energy(cfg, [0.0], [-1.5e7], "rr")
-    sp = pts[0]
-    assert sp.freq_shift == sp.sigma.real
-    assert sp.damping_shift == sp.sigma.imag
