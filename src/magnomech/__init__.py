@@ -42,7 +42,6 @@ from .model import (
     critical_mode,
     effective_couplings,
     susceptibility,
-    te_susceptibility,
 )
 from .presets import Preset, get_preset, REGISTRY
 from .self_energy import (
@@ -104,5 +103,4 @@ __all__ = [
     "sigma_rr",
     "susceptibility",
     "sweep_self_energy",
-    "te_susceptibility",
 ]

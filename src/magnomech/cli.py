@@ -28,7 +28,7 @@ import numpy as np
 from . import encircle as enc
 from . import ep, output, presets, self_energy, spectrum
 from .errors import ConfigError, NumericsError
-from .model import SystemConfig, effective_couplings
+from .model import SystemConfig, _number, effective_couplings
 
 CONFIG_PREFIXES = ("tm_photon.", "te_photon.", "magnon.", "phonon.", "drive_tm.", "drive_te.")
 
@@ -193,12 +193,12 @@ def make_runspec(args) -> RunSpec:
 def _linspace(triplet, name):
     try:
         lo, hi, n = triplet
-        n = int(n)
+        lo, hi, n = float(lo), float(hi), int(n)
     except (TypeError, ValueError) as exc:
         raise ConfigError(f"{name} must be a [lo, hi, count] triplet, got {triplet!r}") from exc
     if n < 1:
         raise ConfigError(f"{name} count must be >= 1")
-    return np.linspace(float(lo), float(hi), n)
+    return np.linspace(lo, hi, n)
 
 
 def _meta(spec, extra=None):
@@ -209,16 +209,21 @@ def _artifact(spec, suffix, ext):
     return f"{spec.out_stem}{suffix}.{ext}"
 
 
-def _write_table(spec, suffix, table, extra=None):
-    """Write a column table as CSV and/or JSON {"columns", "rows"}, per --format; return the paths."""
+def _write_table(spec, suffix, table, extra=None, json_data=None):
+    """Write a column table as CSV and, per --format, JSON; return the paths.
+
+    The JSON data is json_data() or by default {"columns", "rows"}. It is built after the CSV is
+    written, so the two never hold memory at once.
+    """
     written = []
     if "csv" in spec.formats:
         written.append(_artifact(spec, suffix, "csv"))
         output.write_csv(written[-1], table, _meta(spec, extra))
     if "json" in spec.formats:
         written.append(_artifact(spec, suffix, "json"))
-        rows = list(zip(*(np.asarray(col).tolist() for col in table.values())))
-        output.write_json(written[-1], {"columns": list(table), "rows": rows}, _meta(spec, extra))
+        data = json_data() if json_data else {
+            "columns": list(table), "rows": list(zip(*(np.asarray(col).tolist() for col in table.values())))}
+        output.write_json(written[-1], data, _meta(spec, extra))
     return written
 
 
@@ -228,16 +233,7 @@ def _run_coupling(spec: RunSpec):
         "g_a_re": g.g_a.real, "g_a_im": g.g_a.imag, "g_a_abs": abs(g.g_a),
         "g_b_re": g.g_b.real, "g_b_im": g.g_b.imag, "g_b_abs": abs(g.g_b),
     }
-    written = []
-    if "csv" in spec.formats:
-        path = _artifact(spec, "", "csv")
-        output.write_csv(path, {name: [value] for name, value in row.items()}, _meta(spec))
-        written.append(path)
-    if "json" in spec.formats:
-        path = _artifact(spec, "", "json")
-        output.write_json(path, row, _meta(spec))
-        written.append(path)
-    return written
+    return _write_table(spec, "", {name: [value] for name, value in row.items()}, json_data=lambda: row)
 
 
 def _run_self_energy(spec: RunSpec):
@@ -265,11 +261,11 @@ def _noise_from_run(run):
     noise_cfg = run.get("noise") or {}
     kwargs = {}
     if "unit_psd" in noise_cfg:
-        kwargs["unit_psd"] = float(noise_cfg["unit_psd"])
+        kwargs["unit_psd"] = _number("noise.unit_psd", noise_cfg["unit_psd"])
     if "channels" in noise_cfg:
         raw = noise_cfg["channels"]
-        names = raw.split(",") if isinstance(raw, str) else list(raw)
-        kwargs["channels"] = frozenset(n.strip() for n in names)
+        names = raw.split(",") if isinstance(raw, str) else raw if isinstance(raw, list) else [raw]
+        kwargs["channels"] = frozenset(str(n).strip() for n in names)
     return spectrum.NoiseParams(**kwargs)
 
 
@@ -280,20 +276,10 @@ def _run_spectrum(spec: RunSpec):
     swept = run.get("swept", "TE")
     psd = spectrum.psd_map(spec.config, omega_grid, detuning_grid, swept=swept,
                            noise=_noise_from_run(run))
-    extra = {"swept": swept}
-    written = []
-    if "csv" in spec.formats:
-        path = _artifact(spec, "", "csv")
-        output.write_csv(path, {"omega": output.GridAxis(omega_grid, tile=detuning_grid.size),
-                                "detuning": output.GridAxis(detuning_grid, repeat=omega_grid.size),
-                                "psd": psd.ravel()}, _meta(spec, extra))
-        written.append(path)
-    if "json" in spec.formats:
-        path = _artifact(spec, "", "json")
-        output.write_json(path, {"omega": omega_grid.tolist(), "detuning": detuning_grid.tolist(),
-                                 "psd": psd.tolist()}, _meta(spec, extra))
-        written.append(path)
-    return written
+    table = {"omega": output.GridAxis(omega_grid, tile=detuning_grid.size),
+             "detuning": output.GridAxis(detuning_grid, repeat=omega_grid.size), "psd": psd.ravel()}
+    return _write_table(spec, "", table, {"swept": swept}, lambda: {
+        "omega": omega_grid.tolist(), "detuning": detuning_grid.tolist(), "psd": psd.tolist()})
 
 
 def _region_from_run(run):
@@ -302,15 +288,16 @@ def _region_from_run(run):
         raise ConfigError("EP search needs run key 'region' = [[p_lo, p_hi], [delta_lo, delta_hi]]")
     try:
         (p_lo, p_hi), (d_lo, d_hi) = region
+        return (float(p_lo), float(p_hi)), (float(d_lo), float(d_hi))
     except (TypeError, ValueError) as exc:
         raise ConfigError(f"malformed region {region!r}") from exc
-    return (float(p_lo), float(p_hi)), (float(d_lo), float(d_hi))
 
 
 def _ep_records(spec, region, tie):
+    run = spec.run_params
     locations = ep.find_exceptional_points(
-        spec.config, region, seeds_per_axis=int(spec.run_params.get("seeds_per_axis", 24)),
-        gap_rtol=float(spec.run_params.get("gap_rtol", 1e-6)), tie_tm_detuning=tie)
+        spec.config, region, seeds_per_axis=_number("seeds_per_axis", run.get("seeds_per_axis", 24), int),
+        gap_rtol=_number("gap_rtol", run.get("gap_rtol", 1e-6)), tie_tm_detuning=tie)
     return [loc.to_record() for loc in locations]
 
 
@@ -319,20 +306,19 @@ def _run_surface(spec: RunSpec):
     tie = bool(run.get("tie", False))
     p_grid = _linspace(run["p_grid"], "p_grid")
     delta_grid = _linspace(run["delta_grid"], "delta_grid")
+    ref = _number("reference_frequency", run.get("reference_frequency", 1e9))
     surf = ep.riemann_surface(spec.config, p_grid, delta_grid,
-                              near_ep_rel=float(run.get("near_ep_rel", 1e-3)),
-                              tie_tm_detuning=tie,
-                              reference_frequency=float(run.get("reference_frequency", 1e9)))
-    ref = surf.reference_frequency
+                              near_ep_rel=_number("near_ep_rel", run.get("near_ep_rel", 1e-3)),
+                              tie_tm_detuning=tie)
+    records = _ep_records(spec, _region_from_run(run), tie)
     table = {"p_in": output.GridAxis(surf.p_grid, repeat=surf.delta_grid.size),
              "delta": output.GridAxis(surf.delta_grid, tile=surf.p_grid.size),
              "re_lambda_1": (surf.lambda1.real - ref).ravel(), "im_lambda_1": surf.lambda1.imag.ravel(),
              "re_lambda_2": (surf.lambda2.real - ref).ravel(), "im_lambda_2": surf.lambda2.imag.ravel(),
              "near_ep_flag": surf.near_ep.ravel().astype(int)}
-    extra = {"reference_frequency": repr(float(ref)),
+    extra = {"reference_frequency": repr(ref),
              "note": "re_lambda columns are offsets from reference_frequency"}
     written = _write_table(spec, "", table, extra)
-    records = _ep_records(spec, _region_from_run(run), tie)
     path = _artifact(spec, "_eps", "json")
     output.write_json(path, records, _meta(spec, {"count": str(len(records))}))
     written.append(path)
@@ -360,14 +346,18 @@ def _loop_from_run(run):
     missing = {"center_p", "center_delta"} - set(loop_cfg)
     if missing:
         raise ConfigError(f"encircle needs loop keys {sorted(missing)}")
+
+    def num(key, default=None, kind=float):
+        return _number(f"loop.{key}", loop_cfg.get(key, default), kind)
+
     return enc.LoopSpec(
-        center=(float(loop_cfg["center_p"]), float(loop_cfg["center_delta"])),
-        radius_units=float(loop_cfg.get("radius_units", 1.0)),
-        unit_scale=(float(loop_cfg.get("unit_p", 1e11)), float(loop_cfg.get("unit_delta", 1e6))),
+        center=(num("center_p"), num("center_delta")),
+        radius_units=num("radius_units", 1.0),
+        unit_scale=(num("unit_p", 1e11), num("unit_delta", 1e6)),
         direction=str(loop_cfg.get("direction", "ccw")),
-        period=float(loop_cfg.get("period", 10e-3)),
-        start_phase=float(loop_cfg.get("start_phase", 0.0)),
-        samples=int(loop_cfg.get("samples", 512)),
+        period=num("period", 10e-3),
+        start_phase=num("start_phase", 0.0),
+        samples=num("samples", 512, int),
     )
 
 
@@ -380,12 +370,13 @@ def _run_encircle(spec: RunSpec):
     run = spec.run_params
     loop = _loop_from_run(run)
     tie = bool(run.get("tie", False))
-    rtol = float(run.get("rtol", 1e-8))
+    rtol = _number("rtol", run.get("rtol", 1e-8))
+    shift = _number("align_shift_fraction", run.get("align_shift_fraction", 0.5))
+    slope = _number("slope_threshold", run.get("slope_threshold", 0.5))
     primary, reverse = (enc.evolve(one_loop, spec.config, rtol=rtol, tie_tm_detuning=tie)
                         for one_loop in (loop, loop.reversed()))
-    align = int(round(loop.samples * float(run.get("align_shift_fraction", 0.5))))
-    report = enc.chirality_report(primary, reverse, align_shift=align,
-                                  slope_threshold=float(run.get("slope_threshold", 0.5)))
+    report = enc.chirality_report(primary, reverse, align_shift=int(round(loop.samples * shift)),
+                                  slope_threshold=slope)
     written = []
     for traj, suffix in ((primary, ""), (reverse, "_reverse")):
         extra = {"direction": traj.loop.direction, "period": repr(float(traj.loop.period))}

@@ -17,7 +17,8 @@ import logging
 import numpy as np
 
 from .errors import ConfigError, NumericsError
-from .model import SystemConfig, _abs, _checked_grid, _every, _finite, _mul, _pump_coupling, susceptibility
+from .model import (SystemConfig, _abs, _checked_grid, _drives, _every, _finite, _mul, _pump_frame,
+                    _reciprocal)
 from .self_energy import _dressing, _mediated
 
 log = logging.getLogger(__name__)
@@ -60,12 +61,10 @@ def _operator(config, strength_tm, strength_te, det_tm, det_te):
 
     Scalars give one matrix; each cell of a stack carries the bits of its own point evaluation.
     """
-    g_a = _pump_coupling(config.tm_photon, det_tm, strength_tm)
-    g_b = _pump_coupling(config.te_photon, det_te, strength_te)
-    w_eval = config.magnon.omega  # every dressing term is frozen at the magnon resonance
-    gamma_te = config.te_photon.gamma
-    chi = susceptibility(gamma_te, -det_te, w_eval)
-    chi_ref = np.conj(susceptibility(gamma_te, -det_te, -w_eval))
+    # every dressing term is frozen at the magnon resonance
+    g_a, g_b, inv, inv_ref = _pump_frame(config, strength_tm, strength_te, det_tm, det_te, config.magnon.omega)
+    chi, chi_ref = _reciprocal(inv), _reciprocal(inv_ref)
+    del inv, inv_ref  # a loop-transport batch holds 2^16 cells: drop each 1 MB inverse before the 2x2 stack
     args = (g_a, g_b, chi, chi_ref)
     h = np.empty(np.broadcast_shapes(np.shape(g_a), np.shape(g_b)) + (2, 2), dtype=complex)
     h[..., 0, 0] = config.phonon.omega - 0.5j * config.phonon.gamma + _dressing("rr", *args)
@@ -90,8 +89,7 @@ def build_hamiltonian(config: SystemConfig) -> np.ndarray:
     mode; off-diagonal: the light-mediated couplings. All dressing terms
     are frozen at the magnon resonance.
     """
-    return _checked(_operator(config, config.drive_tm.effective_strength, config.drive_te.effective_strength,
-                              config.drive_tm.detuning, config.drive_te.detuning))
+    return _checked(_operator(config, *_drives(config)))
 
 
 def hamiltonian_on_plane(config_template: SystemConfig, p_in, delta,
@@ -191,12 +189,10 @@ class SurfaceResult:
     lambda1: np.ndarray
     lambda2: np.ndarray
     near_ep: np.ndarray
-    reference_frequency: float = 1e9
 
 
 def riemann_surface(config_template: SystemConfig, p_grid, delta_grid,
-                    near_ep_rel: float = 1e-3, tie_tm_detuning: bool = False,
-                    reference_frequency: float = 1e9) -> SurfaceResult:
+                    near_ep_rel: float = 1e-3, tie_tm_detuning: bool = False) -> SurfaceResult:
     """Branch-tracked eigenvalue surfaces over the (p_in, delta) plane.
 
     Tracking runs row-major: each cell's pair is matched to the previous
@@ -218,8 +214,7 @@ def riemann_surface(config_template: SystemConfig, p_grid, delta_grid,
     lam1, lam2 = tracked[..., 0], tracked[..., 1]
     scale = np.maximum(_abs(lam1 + lam2) / 2, 1.0)
     near = _abs(lam1 - lam2) <= near_ep_rel * scale
-    return SurfaceResult(p_grid=p_grid, delta_grid=delta_grid, lambda1=lam1, lambda2=lam2,
-                         near_ep=near, reference_frequency=reference_frequency)
+    return SurfaceResult(p_grid=p_grid, delta_grid=delta_grid, lambda1=lam1, lambda2=lam2, near_ep=near)
 
 
 def _disc_at(config_template, p, delta, tie):

@@ -28,6 +28,14 @@ PHONON = "phonon"
 MODE_LABELS = (TM_PHOTON, TE_PHOTON, MAGNON, PHONON)
 
 
+def _number(key, value, kind=float):
+    """value converted by kind; a value that is not a number raises ConfigError naming key."""
+    try:
+        return kind(value)
+    except (TypeError, ValueError):
+        raise ConfigError(f"{key!r} must be a number, got {value!r}") from None
+
+
 @dataclass(frozen=True)
 class OscillatorMode:
     """One resonant degree of freedom: label, resonance, total and external damping."""
@@ -130,14 +138,14 @@ class SystemConfig:
 
     @classmethod
     def from_dict(cls, data):
+        def fields(path, mapping):
+            return {k: _number(f"{path}.{k}", v) for k, v in mapping.items()}
+
         try:
-            modes = {
-                attr: OscillatorMode(label=attr, **{k: float(v) for k, v in data["modes"][attr].items()})
-                for attr in MODE_LABELS
-            }
+            modes = {attr: OscillatorMode(label=attr, **fields(attr, data["modes"][attr])) for attr in MODE_LABELS}
             drives = {
-                "drive_tm": PumpDrive(target=TM_PHOTON, **{k: float(v) for k, v in data["drives"]["tm"].items()}),
-                "drive_te": PumpDrive(target=TE_PHOTON, **{k: float(v) for k, v in data["drives"]["te"].items()}),
+                "drive_tm": PumpDrive(target=TM_PHOTON, **fields("drive_tm", data["drives"]["tm"])),
+                "drive_te": PumpDrive(target=TE_PHOTON, **fields("drive_te", data["drives"]["te"])),
             }
         except (KeyError, TypeError) as exc:
             raise ConfigError(f"malformed config mapping: {exc}") from exc
@@ -216,25 +224,34 @@ def susceptibility(gamma, omega_res, omega):
     return complex(out) if np.ndim(out) == 0 else out
 
 
-def te_susceptibility(config: SystemConfig, omega):
-    # pump rotating frame: the driven optical mode responds around -detuning
-    return susceptibility(config.te_photon.gamma, -config.drive_te.detuning, omega)
-
-
 def _pump_coupling(mode: OscillatorMode, detuning, strength):
-    """Pump-enhanced coupling strength*sqrt(2 gamma_ext)/(gamma - i detuning) of one optical branch.
-
-    Vectorized over detuning and strength, so a whole (drive, detuning)
-    grid is one call; a scalar pair gives the scalar rate.
-    """
+    """Pump-enhanced coupling strength*sqrt(2 gamma_ext)/(gamma - i detuning) of one optical branch."""
     g = strength * np.sqrt(2 * mode.gamma_ext) / (-1j * detuning + mode.gamma)
     if not _finite(g):
         raise NumericsError("effective coupling evaluated non-finite; check drive and damping values")
     return g
 
 
+def _pump_frame(config: SystemConfig, strength_tm, strength_te, det_tm, det_te, omega):
+    """Pump couplings g_a, g_b and the TE mode's inverse responses over broadcast (strength, detuning, omega) axes.
+
+    In its pump frame the TE mode responds around -det_te: inv = 1/chi(omega) = gamma/2 - i(omega + det_te),
+    and inv_ref = 1/chi~(omega) = gamma/2 - i(omega - det_te) with the reflected chi~(omega) = conj(chi(-omega)).
+    They stay inverted because the 6x6 system holds them as entries; the dressing terms take reciprocals.
+    """
+    g_a = _pump_coupling(config.tm_photon, det_tm, strength_tm)
+    g_b = _pump_coupling(config.te_photon, det_te, strength_te)
+    half = config.te_photon.gamma / 2
+    return g_a, g_b, half - 1j * (omega + det_te), half - 1j * (omega - det_te)
+
+
+def _drives(config: SystemConfig):
+    """(strength_tm, strength_te, det_tm, det_te) of the configured drives, in _pump_frame's order."""
+    return (config.drive_tm.effective_strength, config.drive_te.effective_strength,
+            config.drive_tm.detuning, config.drive_te.detuning)
+
+
 def effective_couplings(config: SystemConfig) -> EffectiveCoupling:
     """Both pump-enhanced coupling rates for the configured drives."""
-    g_a = _pump_coupling(config.tm_photon, config.drive_tm.detuning, config.drive_tm.effective_strength)
-    g_b = _pump_coupling(config.te_photon, config.drive_te.detuning, config.drive_te.effective_strength)
+    g_a, g_b, _, _ = _pump_frame(config, *_drives(config), omega=0.0)  # the responses are not needed here
     return EffectiveCoupling(g_a=complex(g_a), g_b=complex(g_b))

@@ -11,8 +11,7 @@ from __future__ import annotations
 import numpy as np
 
 from .errors import ConfigError
-from .model import (SystemConfig, _abs, _checked_grid, _mul, _pump_coupling, effective_couplings,
-                    susceptibility, te_susceptibility)
+from .model import SystemConfig, _abs, _checked_grid, _drives, _mul, _pump_frame, _reciprocal
 
 
 def _mediated(left, right, chi):
@@ -33,11 +32,10 @@ def _dressing(which, g_a, g_b, chi, chi_ref):
     return _mediated(g_a, g_b if which == "mr" else np.conj(g_b), chi)
 
 
-def _point(which, omega, config):
-    g = effective_couplings(config)
-    chi = te_susceptibility(config, omega)
-    chi_ref = np.conj(te_susceptibility(config, -np.asarray(omega))) if which == "rr" else None
-    out = _dressing(which, g.g_a, g.g_b, chi, chi_ref)
+def _sigma(which, config, omega, strength_tm, strength_te, det_tm, det_te):
+    # one dressing term over broadcast frequency and drive axes: the point functions and the sweep
+    g_a, g_b, inv, inv_ref = _pump_frame(config, strength_tm, strength_te, det_tm, det_te, np.asarray(omega))
+    out = _dressing(which, g_a, g_b, _reciprocal(inv), _reciprocal(inv_ref) if which == "rr" else None)
     return complex(out) if np.ndim(out) == 0 else out
 
 
@@ -48,7 +46,7 @@ def sigma_rr(omega, config: SystemConfig) -> complex:
     resonance (zero detuning), because the two optical sidebands then
     cancel; it is antisymmetric under flipping that detuning.
     """
-    return _point("rr", omega, config)
+    return _sigma("rr", config, omega, *_drives(config))
 
 
 def sigma_mm(omega, config: SystemConfig) -> complex:
@@ -59,12 +57,12 @@ def sigma_mm(omega, config: SystemConfig) -> complex:
     The coupling enters as its complex square g_a**2, not as |g_a|**2, so
     the TM pump detuning rotates the phase of this term.
     """
-    return _point("mm", omega, config)
+    return _sigma("mm", config, omega, *_drives(config))
 
 
 def sigma_mr(omega, config: SystemConfig) -> complex:
     """Mediated coupling acting on the magnon from the mechanical side."""
-    return _point("mr", omega, config)
+    return _sigma("mr", config, omega, *_drives(config))
 
 
 def sigma_rm(omega, config: SystemConfig) -> complex:
@@ -74,7 +72,7 @@ def sigma_rm(omega, config: SystemConfig) -> complex:
     the two directions is twice the phase of the optical-branch coupling.
     That non-reciprocal phase is a control knob of the hybrid system.
     """
-    return _point("rm", omega, config)
+    return _sigma("rm", config, omega, *_drives(config))
 
 
 def sweep_self_energy(config_template: SystemConfig, tm_detuning_grid, te_detuning_grid,
@@ -99,8 +97,5 @@ def sweep_self_energy(config_template: SystemConfig, tm_detuning_grid, te_detuni
         tm_grid, te_grid = (axis.ravel() for axis in np.meshgrid(tm_grid, te_grid, indexing="ij"))
     cfg = config_template
     omega = cfg.phonon.omega if which == "rr" else cfg.magnon.omega
-    g_a = _pump_coupling(cfg.tm_photon, tm_grid, cfg.drive_tm.effective_strength)
-    g_b = _pump_coupling(cfg.te_photon, te_grid, cfg.drive_te.effective_strength)
-    chi = susceptibility(cfg.te_photon.gamma, -te_grid, omega)
-    chi_ref = np.conj(susceptibility(cfg.te_photon.gamma, -te_grid, -omega))
-    return _dressing(which, g_a, g_b, chi, chi_ref)
+    return _sigma(which, cfg, omega, cfg.drive_tm.effective_strength, cfg.drive_te.effective_strength,
+                  tm_grid, te_grid)

@@ -4,7 +4,9 @@ Two computation routes for the same transfer coefficients:
 
 - linear_system_response: direct solve of the closed six-variable
   frequency-domain system in (b, b~, r, r~, m, m~), where x~[w] means
-  x*[-w]. This is the default path and the oracle.
+  x*[-w]. This is the default path and the oracle; psd and psd_map use
+  the same assembly, broadcast over frequency and pump detunings, and
+  the same batched solve.
 - closed_form_response: analytic elimination of the mechanical and
   magnetic sectors down to a scalar loop equation for b[w]; it agrees
   with the direct solve to numerical precision.
@@ -21,7 +23,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .errors import ConfigError, NumericsError
-from .model import SystemConfig, _checked_grid, effective_couplings, susceptibility
+from .model import SystemConfig, _checked_grid, _pump_frame, effective_couplings, susceptibility
 
 # noise channels: thermal force on phonon/magnon at +w, conjugate partner at -w
 R_PLUS, R_MINUS, M_PLUS, M_MINUS = "r+", "r-", "m+", "m-"
@@ -44,48 +46,43 @@ class NoiseParams:
             raise ConfigError(f"unknown noise channels: {sorted(bad)}")
 
 
-def _assemble(omega, config):
-    """Batched system matrix A (n,6,6) and channel drive matrix (n,6,4)."""
-    w = np.atleast_1d(np.asarray(omega, dtype=float))
-    g = effective_couplings(config)
-    ga, gb = g.g_a, g.g_b
-    kb, db = config.te_photon.gamma, config.drive_te.detuning
+def _assemble(config, omega, det_tm, det_te):
+    """System matrix A (..., 6, 6) over broadcast omega and pump detunings, and the drive matrix (6, 4)."""
+    omega = np.asarray(omega, dtype=float)
+    ga, gb, inv, inv_ref = _pump_frame(config, config.drive_tm.effective_strength,
+                                       config.drive_te.effective_strength, det_tm, det_te, omega)
     gr, om_r = config.phonon.gamma, config.phonon.omega
     gm, om_m = config.magnon.gamma, config.magnon.omega
-    n = w.size
-    A = np.zeros((n, 6, 6), dtype=complex)
-    A[:, 0, 0] = kb / 2 - 1j * (w + db)
-    A[:, 1, 1] = kb / 2 - 1j * (w - db)
-    A[:, 2, 2] = gr / 2 - 1j * (w - om_r)
-    A[:, 3, 3] = gr / 2 - 1j * (w + om_r)
-    A[:, 4, 4] = gm / 2 - 1j * (w - om_m)
-    A[:, 5, 5] = gm / 2 - 1j * (w + om_m)
-    A[:, 0, 2] = A[:, 0, 3] = 1j * gb
-    A[:, 0, 4] = 1j * ga
-    A[:, 1, 2] = A[:, 1, 3] = -1j * np.conj(gb)
-    A[:, 1, 5] = -1j * np.conj(ga)
-    A[:, 2, 0] = 1j * np.conj(gb)
-    A[:, 2, 1] = 1j * gb
-    A[:, 3, 0] = -1j * np.conj(gb)
-    A[:, 3, 1] = -1j * gb
-    A[:, 4, 0] = 1j * ga
-    A[:, 5, 1] = -1j * np.conj(ga)
-    rhs = np.zeros((n, 6, 4), dtype=complex)
-    rhs[:, 2, 0] = np.sqrt(gr)
-    rhs[:, 3, 1] = np.sqrt(gr)
-    rhs[:, 4, 2] = np.sqrt(gm)
-    rhs[:, 5, 3] = np.sqrt(gm)
+    A = np.zeros(np.broadcast_shapes(omega.shape, np.shape(det_tm), np.shape(det_te)) + (6, 6), dtype=complex)
+    A[..., 0, 0] = inv
+    A[..., 1, 1] = inv_ref
+    A[..., 2, 2] = gr / 2 - 1j * (omega - om_r)
+    A[..., 3, 3] = gr / 2 - 1j * (omega + om_r)
+    A[..., 4, 4] = gm / 2 - 1j * (omega - om_m)
+    A[..., 5, 5] = gm / 2 - 1j * (omega + om_m)
+    A[..., 0, 2] = A[..., 0, 3] = 1j * gb
+    A[..., 0, 4] = 1j * ga
+    A[..., 1, 2] = A[..., 1, 3] = -1j * np.conj(gb)
+    A[..., 1, 5] = -1j * np.conj(ga)
+    A[..., 2, 0] = 1j * np.conj(gb)
+    A[..., 2, 1] = 1j * gb
+    A[..., 3, 0] = -1j * np.conj(gb)
+    A[..., 3, 1] = -1j * gb
+    A[..., 4, 0] = 1j * ga
+    A[..., 5, 1] = -1j * np.conj(ga)
+    rhs = np.zeros((6, 4), dtype=complex)
+    rhs[2, 0] = rhs[3, 1] = np.sqrt(gr)
+    rhs[4, 2] = rhs[5, 3] = np.sqrt(gm)
     return A, rhs
 
 
-def _solve_coefficients(omega, config):
-    """b[w] transfer coefficient per noise channel, shape (n, 4), channel order r+ r- m+ m-."""
-    A, rhs = _assemble(omega, config)
+def _coefficients(A, rhs):
+    """b[w] transfer coefficient per noise channel, shape (..., 4), channel order r+ r- m+ m-."""
     try:
         sol = np.linalg.solve(A, rhs)
     except np.linalg.LinAlgError as exc:
         raise NumericsError(f"frequency-domain system singular: {exc}") from exc
-    coeffs = sol[:, 0, :]
+    coeffs = sol[..., 0, :]
     if not np.all(np.isfinite(coeffs)):
         raise NumericsError("frequency-domain solve produced non-finite coefficients")
     return coeffs
@@ -98,14 +95,14 @@ def linear_system_response(omega, config: SystemConfig, noise: NoiseParams | Non
     construction; raises NumericsError when the system is near-singular.
     """
     noise = noise or NoiseParams()
-    A, rhs = _assemble(omega, config)
-    if A.shape[0] != 1:
+    if np.size(omega) != 1:
         raise ConfigError("linear_system_response evaluates one frequency; use psd_map for grids")
-    cond = np.linalg.cond(A[0])
+    A, rhs = _assemble(config, np.reshape(omega, ()), config.drive_tm.detuning, config.drive_te.detuning)
+    cond = np.linalg.cond(A)
     if not np.isfinite(cond) or cond > _COND_LIMIT:
         raise NumericsError(f"frequency-domain system near-singular (condition number {cond:.3e})")
-    sol = np.linalg.solve(A[0], rhs[0])
-    return {ch: complex(sol[0, k]) for k, ch in enumerate(_CHANNEL_ORDER) if ch in noise.channels}
+    coeffs = _coefficients(A, rhs).tolist()
+    return {ch: coeffs[k] for k, ch in enumerate(_CHANNEL_ORDER) if ch in noise.channels}
 
 
 def _loop_pieces(omega, config):
@@ -160,31 +157,35 @@ def closed_form_response(omega, config: SystemConfig):
     return {ch: complex(coeffs[k]) for k, ch in enumerate(_CHANNEL_ORDER)}
 
 
+def _psd(config, omega, det_tm, det_te, noise):
+    coeffs = _coefficients(*_assemble(config, omega, det_tm, det_te))
+    mask = [ch in noise.channels for ch in _CHANNEL_ORDER]
+    return noise.unit_psd * np.sum(np.abs(coeffs[..., mask]) ** 2, axis=-1)
+
+
 def psd(omega, config: SystemConfig, noise: NoiseParams | None = None):
     """Output power spectral density: incoherent channel sum of |transfer|^2 times unit_psd."""
-    noise = noise or NoiseParams()
-    coeffs = _solve_coefficients(omega, config)
-    mask = np.array([ch in noise.channels for ch in _CHANNEL_ORDER])
-    out = noise.unit_psd * np.sum(np.abs(coeffs[:, mask]) ** 2, axis=1)
-    return float(out[0]) if np.ndim(omega) == 0 else out
+    out = _psd(config, omega, config.drive_tm.detuning, config.drive_te.detuning, noise or NoiseParams())
+    return float(out) if np.ndim(out) == 0 else out
 
 
 def psd_map(config_template: SystemConfig, omega_grid, detuning_grid, swept: str = "TE",
             noise: NoiseParams | None = None):
     """PSD over a (frequency, pump-detuning) grid, sweeping the TE or TM drive.
 
-    Returns a float array of shape (n_detuning, n_omega): row k is the
-    psd over omega_grid at detuning_grid[k]. Rows are independent;
-    evaluation order never changes values.
+    Returns a float array of shape (n_detuning, n_omega): row k is, bit for
+    bit, the psd over omega_grid with the swept pump at detuning_grid[k].
+    Each row is one assembly and one batched solve with that detuning
+    passed in; no config is rebuilt, and evaluation order never changes values.
     """
     if swept not in ("TE", "TM"):
         raise ConfigError(f"swept must be 'TE' or 'TM', got {swept!r}")
     omega_grid = _checked_grid("omega_grid", omega_grid)
     detuning_grid = _checked_grid("detuning_grid", detuning_grid)
     noise = noise or NoiseParams()
+    det_tm, det_te = config_template.drive_tm.detuning, config_template.drive_te.detuning
     out = np.empty((detuning_grid.size, omega_grid.size))
-    for k, det in enumerate(detuning_grid):
-        cfg = (config_template.with_drive_detunings(te=det) if swept == "TE"
-               else config_template.with_drive_detunings(tm=det))
-        out[k] = psd(omega_grid, cfg, noise)
+    for k, det in enumerate(detuning_grid.tolist()):
+        dets = (det_tm, det) if swept == "TE" else (det, det_te)
+        out[k] = _psd(config_template, omega_grid, *dets, noise)
     return out

@@ -207,17 +207,23 @@ def test_bad_override_exits_2(tmp_path, capsys):
     err = json.loads(capsys.readouterr().err)
     assert err["error"]["type"] == "config"
     assert "nonsense" in err["error"]["message"]
-    # convention names and eval_omega are not keys, and a non-positive rtol is refused
+    # convention names and eval_omega are not keys, a non-positive rtol is refused,
+    # and a value that is not a number is a config error naming its key
     for command, preset, override, key in (
             ("encircle", "fig6a", "carrier_offset=1e9", "carrier_offset"),
             ("encircle", "fig6a", "rtol=-1", "rtol"),
             ("coupling", "fig5", "conjugation_convention=complex_squared", "conjugation_convention"),
             ("coupling", "fig5", "sigma_eval_frequency=at_omega_m", "sigma_eval_frequency"),
-            ("self-energy", "fig2a", "eval_omega=1e9", "eval_omega")):
+            ("self-energy", "fig2a", "eval_omega=1e9", "eval_omega"),
+            ("coupling", "fig5", "drive_tm.detuning=abc", "drive_tm.detuning"),
+            ("spectrum", "fig4a", "noise.unit_psd=abc", "noise.unit_psd"),
+            ("surface", "fig5", "seeds_per_axis=abc", "seeds_per_axis"),
+            ("encircle", "fig6a", "loop.samples=abc", "loop.samples")):
         assert cli.main([command, "--preset", preset, "--out", stem, "--set", override]) == 2
         err = json.loads(capsys.readouterr().err)
         assert err["error"]["type"] == "config"
         assert key in err["error"]["message"]
+    assert not list(tmp_path.iterdir())  # each is refused before any artifact is written
 
 
 def test_cli_import_leaves_scipy_unloaded():

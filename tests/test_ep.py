@@ -12,7 +12,7 @@ from magnomech.ep import (
     riemann_surface,
 )
 from magnomech.errors import ConfigError, NumericsError
-from magnomech.model import effective_couplings, te_susceptibility
+from magnomech.model import effective_couplings, susceptibility
 from magnomech.presets import get_preset
 
 from conftest import build_config
@@ -93,8 +93,9 @@ def test_hamiltonian_structure_matches_manual_assembly():
     assert isinstance(h, np.ndarray) and h.shape == (2, 2) and h.dtype == complex
 
     g = effective_couplings(cfg)
-    chi = te_susceptibility(cfg, cfg.magnon.omega)
-    chi_ref = np.conj(te_susceptibility(cfg, -cfg.magnon.omega))
+    gamma_te, delta_te = cfg.te_photon.gamma, cfg.drive_te.detuning
+    chi = susceptibility(gamma_te, -delta_te, cfg.magnon.omega)
+    chi_ref = np.conj(susceptibility(gamma_te, -delta_te, -cfg.magnon.omega))
     expected_00 = cfg.phonon.omega - 0.5j * cfg.phonon.gamma - 1j * abs(g.g_b) ** 2 * (chi - chi_ref)
     expected_11 = cfg.magnon.omega - 0.5j * cfg.magnon.gamma - 1j * g.g_a**2 * chi
     assert h[0, 0] == pytest.approx(expected_00, rel=1e-14)

@@ -81,17 +81,18 @@ def test_linear_response_single_frequency_only():
 
 
 def test_psd_map_ordering_and_sweep_axis():
-    cfg = build_config(delta_tm=-3e6)
+    # both pumps detuned, so a row that swept the wrong pump or dropped the fixed one differs
+    cfg = build_config(delta_tm=-3e6, delta_te=4e6)
     omega = np.linspace(0.8e9, 1.0e9, 3)
-    dets = np.array([-1e7, 0.0])
-    grids = {}
-    for swept, key in (("TE", "te"), ("TM", "tm")):
-        grids[swept] = psd_map(cfg, omega, dets, swept=swept)
-        # detuning outer, omega inner
-        assert grids[swept].shape == (dets.size, omega.size)
-        for k, det in enumerate(dets):
-            assert np.array_equal(grids[swept][k], psd(omega, cfg.with_drive_detunings(**{key: det})))
-    assert not np.array_equal(grids["TE"], grids["TM"])
+    for dets in (np.array([-1e7, 0.0, 2.5e6]), np.array([1.5e7, 0.0, -1e7])):
+        grids = {}
+        for swept, key in (("TE", "te"), ("TM", "tm")):
+            grids[swept] = psd_map(cfg, omega, dets, swept=swept)
+            # detuning outer, omega inner
+            assert grids[swept].shape == (dets.size, omega.size)
+            for k, det in enumerate(dets):
+                assert np.array_equal(grids[swept][k], psd(omega, cfg.with_drive_detunings(**{key: det})))
+        assert not np.array_equal(grids["TE"], grids["TM"])
 
 
 def test_psd_map_validates_inputs():
