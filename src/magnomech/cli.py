@@ -201,6 +201,20 @@ def _linspace(triplet, name):
     return np.linspace(lo, hi, n)
 
 
+def _flag(run, key):
+    """A boolean run key: only JSON true or false, since bool() would read any other text as true."""
+    value = run.get(key, False)
+    if not isinstance(value, bool):
+        raise ConfigError(f"{key!r} must be true or false, got {value!r}")
+    return value
+
+
+def _names(raw):
+    """One name or a comma list, from a string or a JSON list."""
+    names = raw.split(",") if isinstance(raw, str) else raw if isinstance(raw, list) else [raw]
+    return [str(n).strip() for n in names]
+
+
 def _meta(spec, extra=None):
     return output.metadata_block(spec.command, spec.preset, spec.config, spec.run_params, extra)
 
@@ -240,8 +254,8 @@ def _run_self_energy(spec: RunSpec):
     run = spec.run_params
     tm_grid = _linspace(run.get("tm_grid", [-1e8, 1e8, 41]), "tm_grid")
     te_grid = _linspace(run.get("te_grid", [-1e8, 1e8, 41]), "te_grid")
-    diagonal = bool(run.get("diagonal", False))
-    parts = run.get("parts") or [run.get("which", "mm")]
+    diagonal = _flag(run, "diagonal")
+    parts = _names(run["parts"]) if run.get("parts") else [run.get("which", "mm")]
     if diagonal:
         axes = {"delta_tm": tm_grid, "delta_te": te_grid}
     else:
@@ -263,9 +277,7 @@ def _noise_from_run(run):
     if "unit_psd" in noise_cfg:
         kwargs["unit_psd"] = _number("noise.unit_psd", noise_cfg["unit_psd"])
     if "channels" in noise_cfg:
-        raw = noise_cfg["channels"]
-        names = raw.split(",") if isinstance(raw, str) else raw if isinstance(raw, list) else [raw]
-        kwargs["channels"] = frozenset(str(n).strip() for n in names)
+        kwargs["channels"] = frozenset(_names(noise_cfg["channels"]))
     return spectrum.NoiseParams(**kwargs)
 
 
@@ -303,7 +315,7 @@ def _ep_records(spec, region, tie):
 
 def _run_surface(spec: RunSpec):
     run = spec.run_params
-    tie = bool(run.get("tie", False))
+    tie = _flag(run, "tie")
     p_grid = _linspace(run["p_grid"], "p_grid")
     delta_grid = _linspace(run["delta_grid"], "delta_grid")
     ref = _number("reference_frequency", run.get("reference_frequency", 1e9))
@@ -327,7 +339,7 @@ def _run_surface(spec: RunSpec):
 
 def _run_find_ep(spec: RunSpec):
     run = spec.run_params
-    records = _ep_records(spec, _region_from_run(run), bool(run.get("tie", False)))
+    records = _ep_records(spec, _region_from_run(run), _flag(run, "tie"))
     written = []
     path = _artifact(spec, "", "json")
     output.write_json(path, records, _meta(spec, {"count": str(len(records))}))
@@ -369,9 +381,11 @@ def _trajectory_table(traj):
 def _run_encircle(spec: RunSpec):
     run = spec.run_params
     loop = _loop_from_run(run)
-    tie = bool(run.get("tie", False))
+    tie = _flag(run, "tie")
     rtol = _number("rtol", run.get("rtol", 1e-8))
     shift = _number("align_shift_fraction", run.get("align_shift_fraction", 0.5))
+    if not np.isfinite(shift):
+        raise ConfigError(f"'align_shift_fraction' must be finite, got {shift!r}")
     slope = _number("slope_threshold", run.get("slope_threshold", 0.5))
     primary, reverse = (enc.evolve(one_loop, spec.config, rtol=rtol, tie_tm_detuning=tie)
                         for one_loop in (loop, loop.reversed()))

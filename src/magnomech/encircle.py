@@ -14,9 +14,10 @@ from dataclasses import dataclass, replace
 import numpy as np
 
 from .errors import ConfigError, NumericsError
-from .ep import P_UNIT, DELTA_UNIT, eigenpairs, hamiltonian_on_plane
+from .ep import eigenpairs, hamiltonian_on_plane
 from .model import SystemConfig
 
+P_UNIT, DELTA_UNIT = 1e11, 1e6  # default loop units: drive strength, detuning
 GAP_RTOL = 1e-6  # start points closer than this to a degeneracy are rejected
 _GAUSS = np.array([0.5 - np.sqrt(3) / 6, 0.5 + np.sqrt(3) / 6])  # Gauss points of a unit step
 _BLOCK_STEPS = 2 ** 15  # Magnus steps per batched operator build, bounding the temporaries

@@ -6,13 +6,14 @@ matrix. Exceptional points are parameter points where its two eigenvalues
 and eigenvectors coalesce, i.e. zeros of the quadratic discriminant. The
 search plane is (common drive strength p_in, TE pump detuning delta); both
 drive strengths are tied to p_in and the TM detuning stays at its
-configured value unless tie_tm_detuning is set.
+configured value unless tie_tm_detuning is set. On that plane the
+discriminant is a quadratic in p_in**2 whose coefficients depend on delta
+alone, so the EP search is a one-dimensional bisection in delta.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-import logging
 
 import numpy as np
 
@@ -20,13 +21,6 @@ from .errors import ConfigError, NumericsError
 from .model import (SystemConfig, _abs, _checked_grid, _drives, _every, _finite, _mul, _pump_frame,
                     _reciprocal)
 from .self_energy import _dressing, _mediated
-
-log = logging.getLogger(__name__)
-
-# coordinate scaling that conditions the Newton iteration: drive strengths
-# move in 1e11 steps, detunings in 1e6 steps on the physically useful window
-P_UNIT = 1e11
-DELTA_UNIT = 1e6
 
 
 @dataclass(frozen=True)
@@ -217,108 +211,74 @@ def riemann_surface(config_template: SystemConfig, p_grid, delta_grid,
     return SurfaceResult(p_grid=p_grid, delta_grid=delta_grid, lambda1=lam1, lambda2=lam2, near_ep=near)
 
 
-def _disc_at(config_template, p, delta, tie):
-    return discriminant(hamiltonian_on_plane(config_template, p, delta, tie))
-
-
-def _newton_refine(config_template, seed, region, tie, gap_rtol, max_iter=60):
-    (p_lo, p_hi), (d_lo, d_hi) = region
-    # working domain: region grown by half a span per side, drive kept physical;
-    # out-of-domain probes read as infinitely bad so backtracking retreats
-    span_p, span_d = (p_hi - p_lo) / P_UNIT, (d_hi - d_lo) / DELTA_UNIT
-    lo = np.array([max(p_lo / P_UNIT - 0.5 * span_p, 0.0), d_lo / DELTA_UNIT - 0.5 * span_d])
-    hi = np.array([p_hi / P_UNIT + 0.5 * span_p, d_hi / DELTA_UNIT + 0.5 * span_d])
-
-    def f(s):
-        if np.any(s < lo) or np.any(s > hi):
-            return np.array([np.inf, np.inf])
-        d = _disc_at(config_template, s[0] * P_UNIT, s[1] * DELTA_UNIT, tie)
-        return np.array([d.real, d.imag])
-
-    s = np.array([seed[0] / P_UNIT, seed[1] / DELTA_UNIT])
-    fs = f(s)
-    for _ in range(max_iter):
-        norm = np.linalg.norm(fs)
-        jac = np.empty((2, 2))
-        for k in range(2):
-            step = 1e-6 * max(1.0, abs(s[k]))
-            sp, sm = s.copy(), s.copy()
-            sp[k] += step
-            sm[k] -= step
-            with np.errstate(invalid="ignore"):
-                jac[:, k] = (f(sp) - f(sm)) / (2 * step)
-        try:
-            delta_s = np.linalg.solve(jac, -fs)
-        except np.linalg.LinAlgError:
-            log.info("EP Newton stall: singular Jacobian at p=%.6e delta=%.6e", s[0] * P_UNIT, s[1] * DELTA_UNIT)
-            return None
-        if not np.all(np.isfinite(delta_s)):
-            log.info("EP Newton stall: step left the search domain at p=%.6e delta=%.6e", s[0] * P_UNIT, s[1] * DELTA_UNIT)
-            return None
-        scale = 1.0
-        for _ in range(30):
-            cand = s + scale * delta_s
-            fc = f(cand)
-            if np.linalg.norm(fc) < norm:
-                s, fs = cand, fc
-                break
-            scale /= 2
+def _bisect(f, lo, hi, f_lo):
+    """Narrow a sign change of f on [lo, hi] until no float lies strictly between the ends."""
+    mid = (lo + hi) / 2
+    while lo < mid < hi:
+        f_mid = f(mid)
+        if f_mid == 0:
+            return mid
+        if (f_mid < 0) == (f_lo < 0):
+            lo, f_lo = mid, f_mid
         else:
-            break  # no descent direction left; evaluate what we have
-        h_here = hamiltonian_on_plane(config_template, s[0] * P_UNIT, s[1] * DELTA_UNIT, tie)
-        tr_half = abs((h_here[0, 0] + h_here[1, 1]) / 2)
-        if np.linalg.norm(fs) <= (1e-2 * gap_rtol * max(tr_half, 1.0)) ** 2:
-            break
-    p, d = s[0] * P_UNIT, s[1] * DELTA_UNIT
-    pad_p = 1e-9 * (p_hi - p_lo)
-    pad_d = 1e-9 * (d_hi - d_lo)
-    if not (p_lo - pad_p <= p <= p_hi + pad_p and d_lo - pad_d <= d <= d_hi + pad_d):
-        return None
-    h_final = hamiltonian_on_plane(config_template, p, d, tie)
-    pair = eigenpairs(h_final)
-    lam_bar = (pair.lambda_plus + pair.lambda_minus) / 2
-    gap = abs(pair.lambda_plus - pair.lambda_minus)
-    if gap > gap_rtol * max(abs(lam_bar), 1.0):
-        return None
-    return EpLocation(p_in=float(p), delta=float(d), residual=abs(_disc_at(config_template, p, d, tie)),
-                      lambda_value=complex(lam_bar), gap=float(gap))
+            hi = mid
+        mid = (lo + hi) / 2
+    return mid
 
 
 def find_exceptional_points(config_template: SystemConfig, region, seeds_per_axis: int = 24,
                             gap_rtol: float = 1e-6, tie_tm_detuning: bool = False):
     """Locate discriminant zeros inside a rectangular (p_in, delta) region.
 
-    Coarse |discriminant| grid supplies seeds at its local minima; each seed
-    is refined by a damped Newton iteration on (Re D, Im D) with a central
-    finite-difference Jacobian in scaled coordinates. Results are
-    deduplicated and each must pass the eigenvalue-gap acceptance bound.
-    An empty list means no seed converged, which is a valid outcome.
+    On the plane each pump-induced entry of the reduced matrix is p_in**2 times a function of
+    delta, so in s = p_in**2 the discriminant is the quadratic (d0 + s*d1)**2 + 4*s**2*m01*m10,
+    with d0 = h00 - h11 undriven, m = (h(p_hi) - h(0)) / p_hi**2 and d1 = m00 - m11. An EP is a
+    delta where one root s is real, so that F = Im s+ * Im s- changes sign. F is sampled at
+    seeds_per_axis detunings, each sign change is bisected to float adjacency, and p_in = sqrt(Re s).
+    Each EP must lie in the region and pass the eigenvalue-gap acceptance bound. An empty list is
+    a valid outcome.
     """
     (p_lo, p_hi), (d_lo, d_hi) = region
-    if not (p_hi > p_lo and d_hi > d_lo):
-        raise ConfigError("EP search region must be a non-degenerate rectangle")
+    if not (0 <= p_lo < p_hi and d_lo < d_hi):
+        raise ConfigError("EP search region must be a non-degenerate rectangle at drive strengths >= 0")
     if seeds_per_axis < 8:
         raise ConfigError("seeds_per_axis must be at least 8")
-    ps = np.linspace(p_lo, p_hi, seeds_per_axis)
-    ds = np.linspace(d_lo, d_hi, seeds_per_axis)
-    grid = hamiltonian_on_plane(config_template, ps[:, None], ds[None, :], tie_tm_detuning)
-    mag = _abs(discriminant(grid))
-    seeds = []
-    for i in range(seeds_per_axis):
-        for j in range(seeds_per_axis):
-            window = mag[max(0, i - 1):i + 2, max(0, j - 1):j + 2]
-            if mag[i, j] <= window.min():
-                seeds.append((mag[i, j], ps[i], ds[j]))
-    seeds.sort(key=lambda t: t[0])
+    bare = hamiltonian_on_plane(config_template, 0.0, d_lo, tie_tm_detuning)  # undriven: diagonal at every delta
+    d0 = bare[0, 0] - bare[1, 1]
+    if d0 == 0:
+        return []  # D = s**2 * (...) vanishes only at p_in = 0, where the matrix is diagonal
+
+    @np.errstate(all="ignore")  # a pole of s (d1**2 + 4*m01*m10 = 0) gives non-finite roots, dropped below
+    def on_line(delta):
+        # F from the roots' sum and product, so no square-root branch cut enters; sqrt(Re s) of the root nearer real
+        m = (hamiltonian_on_plane(config_template, p_hi, delta, tie_tm_detuning) - bare) / p_hi ** 2
+        d1 = m[..., 0, 0] - m[..., 1, 1]
+        a = d1 * d1 + 4 * m[..., 0, 1] * m[..., 1, 0]
+        total, product = -2 * d0 * d1 / a, d0 * d0 / a
+        disc = total * total - 4 * product
+        f = ((abs(total) ** 2 - abs(disc)) / 4 - product.real) / 2
+        plus, minus = total + np.sqrt(disc), total - np.sqrt(disc)
+        return f, np.sqrt(np.where(abs(plus.imag) <= abs(minus.imag), plus, minus).real / 2)
+
+    ds = np.linspace(d_lo, d_hi, seeds_per_axis).tolist()
+    fs = on_line(np.array(ds))[0].tolist()
+    zeros = [d for d, f in zip(ds, fs) if f == 0]
+    zeros += [_bisect(lambda d: on_line(d)[0], lo, hi, f_lo)
+              for lo, hi, f_lo, f_hi in zip(ds, ds[1:], fs, fs[1:]) if f_lo < 0 < f_hi or f_hi < 0 < f_lo]
+    pad_p, pad_d = 1e-9 * (p_hi - p_lo), 1e-9 * (d_hi - d_lo)
     found = []
-    for _, p, d in seeds:
-        loc = _newton_refine(config_template, (p, d), region, tie_tm_detuning, gap_rtol)
-        if loc is None:
+    for d in zeros:
+        p = float(on_line(d)[1])
+        if not (p_lo - pad_p <= p <= p_hi + pad_p and d_lo - pad_d <= d <= d_hi + pad_d):
             continue
-        if any(abs(loc.p_in - o.p_in) / P_UNIT < 1e-3 and abs(loc.delta - o.delta) / DELTA_UNIT < 1e-3
-               for o in found):
+        h = hamiltonian_on_plane(config_template, p, d, tie_tm_detuning)
+        pair = eigenpairs(h)
+        lam_bar = (pair.lambda_plus + pair.lambda_minus) / 2
+        gap = abs(pair.lambda_plus - pair.lambda_minus)
+        if gap > gap_rtol * max(abs(lam_bar), 1.0):
             continue
-        found.append(loc)
+        found.append(EpLocation(p_in=p, delta=float(d), residual=abs(discriminant(h)),
+                                lambda_value=complex(lam_bar), gap=float(gap)))
     found.sort(key=lambda l: (l.p_in, l.delta))
     return found
 

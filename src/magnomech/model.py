@@ -32,7 +32,7 @@ def _number(key, value, kind=float):
     """value converted by kind; a value that is not a number raises ConfigError naming key."""
     try:
         return kind(value)
-    except (TypeError, ValueError):
+    except (TypeError, ValueError, OverflowError):
         raise ConfigError(f"{key!r} must be a number, got {value!r}") from None
 
 

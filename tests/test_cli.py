@@ -90,6 +90,15 @@ def test_self_energy_multi_part_suffixes(tmp_path):
         assert np.hypot(a[2], a[3]) == pytest.approx(np.hypot(b[2], b[3]), rel=1e-12, abs=1e-30)
 
 
+def test_self_energy_parts_take_one_name_or_a_comma_list(tmp_path):
+    grids = ["--set", "tm_grid=-1e8:1e8:5", "--set", "te_grid=-1e8:1e8:5"]
+    for stem, override in (("one", "parts=mm"), ("which", "which=mm"), ("pair", "parts=mr,rm")):
+        assert cli.main(["self-energy", "--preset", "fig2c", "--out", str(tmp_path / stem),
+                         "--set", override, *grids]) == 0
+    assert data_section(str(tmp_path / "one.csv")) == data_section(str(tmp_path / "which.csv"))
+    assert sorted(p.name for p in tmp_path.glob("pair*")) == ["pair_mr.csv", "pair_rm.csv"]
+
+
 def test_spectrum_outputs_and_jobs_invariance(tmp_path):
     grids = ["--set", "omega_grid=0.4e9:2.0e9:31", "--set", "detuning_grid=-3e7:1e7:11"]
     stems = {}
@@ -218,7 +227,14 @@ def test_bad_override_exits_2(tmp_path, capsys):
             ("coupling", "fig5", "drive_tm.detuning=abc", "drive_tm.detuning"),
             ("spectrum", "fig4a", "noise.unit_psd=abc", "noise.unit_psd"),
             ("surface", "fig5", "seeds_per_axis=abc", "seeds_per_axis"),
-            ("encircle", "fig6a", "loop.samples=abc", "loop.samples")):
+            ("encircle", "fig6a", "loop.samples=abc", "loop.samples"),
+            # a boolean key takes only JSON true or false, not any text bool() reads as true
+            ("surface", "fig5", "tie=False", "tie"),
+            ("self-energy", "fig2c", "diagonal=no", "diagonal"),
+            # non-finite numbers are config errors, found before any evolve runs
+            ("encircle", "fig6a", "loop.samples=Infinity", "loop.samples"),
+            ("find-ep", "fig5", "seeds_per_axis=Infinity", "seeds_per_axis"),
+            ("encircle", "fig6a", "align_shift_fraction=NaN", "align_shift_fraction")):
         assert cli.main([command, "--preset", preset, "--out", stem, "--set", override]) == 2
         err = json.loads(capsys.readouterr().err)
         assert err["error"]["type"] == "config"

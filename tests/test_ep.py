@@ -15,7 +15,7 @@ from magnomech.errors import ConfigError, NumericsError
 from magnomech.model import effective_couplings, susceptibility
 from magnomech.presets import get_preset
 
-from conftest import build_config
+from conftest import build_config, random_config
 
 # regression anchor for the search in the default window (found by the
 # coarse |D| grid scan and confirmed by Newton refinement on first build)
@@ -146,12 +146,40 @@ def test_ep_search_regression():
     assert ep.gap <= 1e-6 * max(lam_bar, 1.0)
 
 
+def test_plane_dressing_is_quadratic_in_drive_strength(rng):
+    # the EP search rests on this: h(p, delta) - h(0, delta) = p**2 * m(delta) on the plane
+    for k in range(20):
+        cfg, tie = random_config(rng), bool(k % 2)
+        delta = rng.uniform(-1e8, 1e8)
+        bare = hamiltonian_on_plane(cfg, 0.0, delta, tie_tm_detuning=tie)
+        m = (hamiltonian_on_plane(cfg, 1e12, delta, tie_tm_detuning=tie) - bare) / 1e24
+        for p in (2e11, 7e11, 3e12):
+            diff = hamiltonian_on_plane(cfg, p, delta, tie_tm_detuning=tie) - bare
+            assert np.abs(diff - p**2 * m).max() <= 1e-12 * np.abs(diff).max()
+
+
+def test_found_eps_are_degenerate_branch_points(rng):
+    # checked without the search's own algebra: LAPACK eigenvalues and branch monodromy
+    count = 0
+    for k in range(60):
+        cfg, tie = random_config(rng), bool(k % 2)
+        for ep in find_exceptional_points(cfg, ((0.0, 5e12), (-2e8, 2e8)), tie_tm_detuning=tie):
+            lam = np.linalg.eigvals(hamiltonian_on_plane(cfg, ep.p_in, ep.delta, tie_tm_detuning=tie))
+            assert abs(lam[0] - lam[1]) <= 1e-6 * max(abs(lam.mean()), 1.0)
+            assert monodromy_swapped(cfg, (ep.p_in, ep.delta), radius_p=1e-3 * ep.p_in,
+                                     radius_delta=4e5, tie_tm_detuning=tie)
+            count += 1
+    assert count >= 20
+
+
 def test_ep_search_validates_region():
     cfg = get_preset("fig5").config
     with pytest.raises(ConfigError):
         find_exceptional_points(cfg, ((1e12, 5e11), (-1e7, 1e7)))  # inverted
     with pytest.raises(ConfigError):
         find_exceptional_points(cfg, ((5e11, 1e12), (-1e7, 1e7)), seeds_per_axis=3)
+    with pytest.raises(ConfigError):
+        find_exceptional_points(cfg, ((-1e11, 1e12), (-1e7, 1e7)))  # negative drive strength
 
 
 def test_empty_region_returns_no_eps():
@@ -159,6 +187,8 @@ def test_empty_region_returns_no_eps():
     found = find_exceptional_points(cfg, ((0.05e12, 0.2e12), (0.0, 1e7)),
                                     seeds_per_axis=10)
     assert found == []
+    # bare-degenerate modes: D vanishes only at p_in = 0, where the matrix is diagonal
+    assert find_exceptional_points(get_preset("fig2a").config, ((0.0, 1.5e12), (-6e7, 1e7))) == []
 
 
 def test_surface_branches_union_matches_unsorted_eigenvalues():
