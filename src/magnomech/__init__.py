@@ -17,6 +17,7 @@ from .encircle import (
     chirality_report,
     energy_fractions,
     evolve,
+    evolve_both_directions,
     initial_basis,
     parameters_at,
 )
@@ -87,6 +88,7 @@ __all__ = [
     "eigenvalues",
     "energy_fractions",
     "evolve",
+    "evolve_both_directions",
     "find_exceptional_points",
     "get_preset",
     "hamiltonian_on_plane",

@@ -387,13 +387,14 @@ def _run_encircle(spec: RunSpec):
     if not np.isfinite(shift):
         raise ConfigError(f"'align_shift_fraction' must be finite, got {shift!r}")
     slope = _number("slope_threshold", run.get("slope_threshold", 0.5))
-    primary, reverse = (enc.evolve(one_loop, spec.config, rtol=rtol, tie_tm_detuning=tie)
-                        for one_loop in (loop, loop.reversed()))
+    primary, reverse = enc.evolve_both_directions(loop, spec.config, rtol=rtol, tie_tm_detuning=tie)
     report = enc.chirality_report(primary, reverse, align_shift=int(round(loop.samples * shift)),
                                   slope_threshold=slope)
     written = []
     for traj, suffix in ((primary, ""), (reverse, "_reverse")):
-        extra = {"direction": traj.loop.direction, "period": repr(float(traj.loop.period))}
+        extra = {"direction": traj.loop.direction, "period": repr(float(traj.loop.period)),
+                 "substeps": str(traj.substeps), "passes": str(traj.passes),
+                 **{f"disagreement_{key}": repr(value) for key, value in traj.disagreement.items()}}
         written += _write_table(spec, suffix, _trajectory_table(traj), extra)
     path = _artifact(spec, "_chirality", "json")
     output.write_json(path, report.to_dict(), _meta(spec))

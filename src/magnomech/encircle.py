@@ -3,14 +3,27 @@
 A two-component state is carried under the loop-dependent reduced matrix and
 projected on the fixed supermode basis of the loop's start point. Each sample
 interval's propagator is a product of exact exponentials of fourth-order Magnus
-steps (two Gauss points each). Each step's trace part is a scalar: its real
-part is banked as log-norm, its imaginary part (the GHz carrier) is a dropped
-global phase. The state is renormalized at every sample.
+steps (two Gauss points each), with every 2x2 stack held as four component
+arrays. Each step's trace part is a scalar: its real part is banked as
+log-norm, its imaginary part (the GHz carrier) is a dropped global phase. The
+state is renormalized at every sample.
+
+The reversed loop keeps the start phase, so it sits at time t where the loop
+sits at period - t. Both directions are therefore formed from one operator
+build: the reverse step uses the forward step's two Gauss-point operators in
+swapped order, which flips the sign of the Magnus commutator.
+
+The substep count per sample interval runs 4, 8, 16; from there the
+pass-to-pass spread of this fourth-order method falls 16x per doubling, so the
+run skips to the first count predicted to meet rtol and doubles on only if
+that count and its half still disagree.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, replace
+import math
+
 import numpy as np
 
 from .errors import ConfigError, NumericsError
@@ -63,6 +76,9 @@ class Trajectory:
     log_norm: np.ndarray    # accumulated log of the true state norm
     fractions: np.ndarray   # (n, 2) columns (f_a, f_b), rows sum to 1
     loop: LoopSpec
+    substeps: int           # final Magnus steps per sample interval
+    passes: int             # passes around the loop, the final one included
+    disagreement: dict      # last pass-to-pass maximum per criterion: "fractions", "log_norm"
 
 
 def _theta_at(loop: LoopSpec, t):
@@ -119,47 +135,104 @@ def energy_fractions(states, basis):
     return np.hstack([f_a, 1.0 - f_a])
 
 
-def _transport(loop, config_template, tie_tm_detuning, u0, substeps):
-    """Unit states and log-norms at the samples, with `substeps` (a power of 2) Magnus steps per interval."""
-    intervals, per_block = loop.samples - 1, max(1, _BLOCK_STEPS // substeps)
-    h = loop.period / (intervals * substeps)
-    props, growth = [], []
-    for first in range(0, intervals, per_block):
-        n = np.arange(first * substeps, min(intervals, first + per_block) * substeps)
-        t = (n[:, None] + _GAUSS) * h
-        # x[:, j] = h * (-iH) at Gauss point j; omega is the step's 4th-order Magnus exponent
-        x = -1j * h * hamiltonian_on_plane(config_template, *_params_at(loop, t), tie_tm_detuning)
-        omega = (x[:, 0] + x[:, 1]) / 2 + np.sqrt(3) / 12 * (x[:, 1] @ x[:, 0] - x[:, 0] @ x[:, 1])
-        tau = (omega[:, 0, 0] + omega[:, 1, 1]) / 2
-        w = omega - tau[:, None, None] * np.eye(2)
-        s = np.sqrt(w[:, 0, 0] ** 2 + w[:, 0, 1] * w[:, 1, 0])  # s^2 = -det w, w traceless
-        # exp(w) = cosh(s) I + sinh(s)/s w exactly; sinc(i s / pi) = sinh(s)/s, finite at s = 0
-        steps = np.cosh(s)[:, None, None] * np.eye(2) + np.sinc(1j * s / np.pi)[:, None, None] * w
-        steps = steps.reshape(-1, substeps, 2, 2)
-        while steps.shape[1] > 1:
-            steps = steps[:, 1::2] @ steps[:, ::2]  # later steps on the left
-        props.append(steps[:, 0])
-        growth.append(tau.real.reshape(-1, substeps).sum(axis=1))
-    states, log_norm = [u0], [0.0]
-    for prop, g in zip(np.concatenate(props), np.concatenate(growth)):
-        u = prop @ states[-1]
-        norm = np.linalg.norm(u)
-        states.append(u / norm)
-        log_norm.append(log_norm[-1] + g + np.log(norm))
+def _exponents(hs, e):
+    """Half trace and traceless parts of each step's 4th-order Magnus exponent, written out.
+
+    hs holds the operators at a step's two Gauss points, shape (..., 2, 2, 2) with the point axis
+    first, and e = -i * step. The exponent is tau * I + mean + comm with mean and comm traceless,
+    each given as its (00, 01, 10) components. The step run backward in time swaps its Gauss
+    points, which flips the sign of comm alone.
+    """
+    a0, b0, c0, d0 = hs[..., 0, 0, 0], hs[..., 0, 0, 1], hs[..., 0, 1, 0], hs[..., 0, 1, 1]
+    a1, b1, c1, d1 = hs[..., 1, 0, 0], hs[..., 1, 0, 1], hs[..., 1, 1, 0], hs[..., 1, 1, 1]
+    tau = e * (a0 + d0 + a1 + d1) / 4
+    q0, q1 = (a0 - d0) / 2, (a1 - d1) / 2  # traceless halves of the diagonals
+    mean = (e * (q0 + q1) / 2, e * (b0 + b1) / 2, e * (c0 + c1) / 2)
+    k = np.sqrt(3) / 12 * e * e  # the commutator [x1, x0] of x = e * h
+    comm = (k * (b1 * c0 - b0 * c1), 2 * k * (b0 * q1 - b1 * q0), 2 * k * (c1 * q0 - c0 * q1))
+    return tau, mean, comm
+
+
+def _exp_traceless(w00, w01, w10):
+    """Components (00, 01, 10, 11) of exp(w) for the traceless w = [[w00, w01], [w10, -w00]].
+
+    exp(w) = cosh(s) I + sinh(s)/s w exactly, with s^2 = -det w; sinc(i s / pi) = sinh(s)/s is
+    finite at s = 0, where w is nilpotent and exp(w) = I + w.
+    """
+    s = np.sqrt(w00 * w00 + w01 * w10)
+    ch, sh = np.cosh(s), np.sinc(1j * s / np.pi)
+    return ch + sh * w00, sh * w01, sh * w10, ch - sh * w00
+
+
+def _products(steps, substeps, sense):
+    """Ordered product of each run of `substeps` consecutive step propagators, as components.
+
+    Later steps go on the left: the higher index for sense +1, the lower for sense -1, whose time
+    runs against the index.
+    """
+    steps = [c.reshape(-1, substeps) for c in steps]
+    late, early = (slice(1, None, 2), slice(0, None, 2))[::sense]
+    while steps[0].shape[1] > 1:
+        (a, b, c, d), (e, f, g, k) = ([m[:, late] for m in steps], [m[:, early] for m in steps])
+        steps = [a * e + b * g, a * f + b * k, c * e + d * g, c * f + d * k]
+    return [m[:, 0] for m in steps]
+
+
+def _carry(props, growth, u0):
+    """Unit states and accumulated log-norms at the samples, one interval propagator after another."""
+    u, v = complex(u0[0]), complex(u0[1])
+    states, log_norm = [(u, v)], [0.0]
+    for p00, p01, p10, p11, g in zip(*(c.tolist() for c in props), growth.tolist()):
+        u, v = p00 * u + p01 * v, p10 * u + p11 * v
+        norm = math.hypot(u.real, u.imag, v.real, v.imag)
+        if not 0 < norm < math.inf:
+            raise NumericsError("loop transport overflowed within one sample interval; raise loop.samples")
+        u, v = u / norm, v / norm
+        states.append((u, v))
+        log_norm.append(log_norm[-1] + g + math.log(norm))
     return np.array(states), np.array(log_norm)
 
 
-def evolve(loop: LoopSpec, config_template: SystemConfig, initial_state=None,
-           rtol: float = 1e-8, tie_tm_detuning: bool = False) -> Trajectory:
-    """Carry the state once around the loop, renormalizing at every sample.
+def _transport(loop, config_template, tie_tm_detuning, u0, substeps, senses):
+    """Unit states and log-norms at the samples with `substeps` (a power of 2) Magnus steps per interval.
 
-    The substep count per sample interval starts at 4 and doubles until two
-    successive passes agree to rtol at every sample: fractions absolutely,
-    log_norm relative to max(1, |log_norm|). Default initial state: the 'a'
-    supermode.
+    One (states, log_norm) pair per sense: +1 runs along the loop, -1 along loop.reversed(). Both
+    come from one operator build, since the reversed loop at time t sits where the loop sits at
+    period - t: its step k is the loop's step N-1-k with the two Gauss points swapped.
     """
+    intervals, per_block = loop.samples - 1, max(1, _BLOCK_STEPS // substeps)
+    h = loop.period / (intervals * substeps)
+    props, growth = {sense: [] for sense in senses}, []
+    for first in range(0, intervals, per_block):
+        n = np.arange(first * substeps, min(intervals, first + per_block) * substeps)
+        t = (n[:, None] + _GAUSS) * h
+        hs = hamiltonian_on_plane(config_template, *_params_at(loop, t), tie_tm_detuning)
+        tau, mean, comm = _exponents(hs, -1j * h)
+        del hs  # each temporary goes as soon as it is used, and all before the next block's build
+        growth.append(tau.real.reshape(-1, substeps).sum(axis=1))
+        for sense in senses:  # one direction after the other, so the step temporaries never double
+            w = [m + c if sense > 0 else m - c for m, c in zip(mean, comm)]
+            props[sense].append(_products(_exp_traceless(*w), substeps, sense))
+        del tau, mean, comm, w
+    growth = np.concatenate(growth)
+    out = []
+    for sense in senses:
+        p = [np.concatenate(c)[::sense] for c in zip(*props[sense])]
+        out.append(_carry(p, growth[::sense], u0))
+    return out
+
+
+def _disagreement(previous, current):
+    """Largest pass-to-pass change over the samples: fractions absolutely, log_norm relative to max(1, |log_norm|)."""
+    (_, ln0, f0), (_, ln1, f1) = previous, current
+    return {"fractions": float(np.max(np.abs(f1 - f0))),
+            "log_norm": float(np.max(np.abs(ln1 - ln0) / np.maximum(1.0, np.abs(ln1))))}
+
+
+def _evolve(loop, config_template, initial_state, rtol, tie_tm_detuning, senses):
     if not 0 < rtol < np.inf:
         raise ConfigError(f"rtol must be finite and positive, got {rtol!r}")
+    # the reversed loop starts at the same point, so one basis serves both senses
     basis = initial_basis(loop, config_template, tie_tm_detuning)
     if initial_state is None:
         initial_state = basis[0]
@@ -168,24 +241,62 @@ def evolve(loop: LoopSpec, config_template: SystemConfig, initial_state=None,
     if n0 == 0:
         raise ConfigError("initial_state must be nonzero")
     u0 = u0 / n0
-    substeps, previous = 4, None
+    intervals = loop.samples - 1
+    substeps, previous, passes = 4, None, 0
     while True:
-        if (loop.samples - 1) * substeps > _MAX_STEPS:
+        if intervals * substeps > _MAX_STEPS:
             raise NumericsError(f"loop transport needs more than {_MAX_STEPS} steps to reach rtol={rtol:g}")
-        states, log_norm = _transport(loop, config_template, tie_tm_detuning, u0, substeps)
-        if not np.all(np.isfinite(log_norm)):
-            raise NumericsError("loop transport overflowed within one sample interval; raise loop.samples")
-        fractions = energy_fractions(states, basis)
-        if previous is not None and np.all(np.abs(fractions - previous[0]) <= rtol) and np.all(
-                np.abs(log_norm - previous[1]) <= rtol * np.maximum(1.0, np.abs(log_norm))):
-            break
-        previous, substeps = (fractions, log_norm), 2 * substeps
+        runs = [(states, log_norm, energy_fractions(states, basis)) for states, log_norm in
+                _transport(loop, config_template, tie_tm_detuning, u0, substeps, senses)]
+        passes += 1
+        if previous is not None and previous[0] * 2 == substeps:
+            spread = [_disagreement(old, new) for old, new in zip(previous[1], runs)]
+            worst = max(max(d.values()) for d in spread)
+            if worst <= rtol:
+                break
+        following = 2 * substeps
+        if substeps == 16:
+            # from here the spread falls 16x per doubling (4th order): go on at the half of the
+            # first count predicted to agree, within the step cap, so that count meets its half
+            while worst * (16 / following) ** 4 > rtol and intervals * 2 * following <= _MAX_STEPS:
+                following *= 2
+            following = max(32, following // 2)
+        previous, substeps = (substeps, runs), following
     t_eval = np.linspace(0.0, loop.period, loop.samples)
-    th = _theta_at(loop, t_eval)
-    p_arr, d_arr = _params_at(loop, t_eval)
-    return Trajectory(times=t_eval, theta=np.asarray(th, dtype=float),
-                      p_in=np.asarray(p_arr, dtype=float), delta=np.asarray(d_arr, dtype=float),
-                      states=states, log_norm=log_norm, fractions=fractions, loop=loop)
+    out = []
+    for sense, (states, log_norm, fractions), spread_one in zip(senses, runs, spread):
+        one_loop = loop if sense > 0 else loop.reversed()
+        p_arr, d_arr = _params_at(one_loop, t_eval)
+        out.append(Trajectory(
+            times=t_eval, theta=np.asarray(_theta_at(one_loop, t_eval), dtype=float),
+            p_in=np.asarray(p_arr, dtype=float), delta=np.asarray(d_arr, dtype=float),
+            states=states, log_norm=log_norm, fractions=fractions, loop=one_loop,
+            substeps=substeps, passes=passes, disagreement=spread_one))
+    return out
+
+
+def evolve(loop: LoopSpec, config_template: SystemConfig, initial_state=None,
+           rtol: float = 1e-8, tie_tm_detuning: bool = False) -> Trajectory:
+    """Carry the state once around the loop, renormalizing at every sample.
+
+    The substep count per sample interval runs 4, 8, 16. From 16 on the pass-to-pass spread
+    falls 16x per doubling, so the run jumps to the first count predicted to agree, runs its half
+    and it, and doubles on from there until two successive passes agree to rtol at every sample:
+    fractions absolutely, log_norm relative to max(1, |log_norm|). Default initial state: the 'a'
+    supermode. The trajectory records the final substep count, the passes run and the last
+    pass-to-pass spread per criterion.
+    """
+    return _evolve(loop, config_template, initial_state, rtol, tie_tm_detuning, (1,))[0]
+
+
+def evolve_both_directions(loop: LoopSpec, config_template: SystemConfig, rtol: float = 1e-8,
+                           tie_tm_detuning: bool = False):
+    """(along loop, along loop.reversed()) trajectories from the 'a' supermode, as `evolve` gives them.
+
+    Both directions come from one operator build per pass and share one substep count: the run
+    stops only when both agree to rtol.
+    """
+    return tuple(_evolve(loop, config_template, None, rtol, tie_tm_detuning, (1, -1)))
 
 
 @dataclass(frozen=True)

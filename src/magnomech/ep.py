@@ -14,6 +14,8 @@ alone, so the EP search is a one-dimensional bisection in delta.
 from __future__ import annotations
 
 from dataclasses import dataclass
+import cmath
+import math
 
 import numpy as np
 
@@ -120,24 +122,18 @@ def eigenvalues(h):
     return (tr + sq) / 2, (tr - sq) / 2
 
 
-def _phase_fix(v):
-    idx = int(np.argmax(np.abs(v)))
-    mag = abs(v[idx])
-    if mag == 0:
-        return v
-    return v * np.conj(v[idx]) / mag
-
-
-def _eigvec(h, lam):
+def _eigvec(h00, h01, h10, h11, lam):
+    """Unit null vector of h - lam in Python scalars, its larger-modulus component real and positive."""
     # rows of (h - lam) give two null-vector candidates; take the better conditioned
-    cand_a = np.array([h[0, 1], lam - h[0, 0]], dtype=complex)
-    cand_b = np.array([lam - h[1, 1], h[1, 0]], dtype=complex)
-    v = cand_a if np.linalg.norm(cand_a) >= np.linalg.norm(cand_b) else cand_b
-    n = np.linalg.norm(v)
+    cand_a, cand_b = (h01, lam - h00), (lam - h11, h10)
+    norm_a, norm_b = (math.hypot(x.real, x.imag, y.real, y.imag) for x, y in (cand_a, cand_b))
+    (x, y), n = (cand_a, norm_a) if norm_a >= norm_b else (cand_b, norm_b)
     if n == 0:  # exactly diagonal and degenerate: fall back to a coordinate axis
-        v = np.array([1.0, 0.0], dtype=complex)
-        n = 1.0
-    return _phase_fix(v / n)
+        x, y, n = 1.0, 0.0, 1.0
+    x, y = x / n, y / n
+    ref = x if abs(x) >= abs(y) else y
+    mag = abs(ref)
+    return np.array([x * ref.conjugate() / mag, y * ref.conjugate() / mag], dtype=complex)
 
 
 def eigenpairs(h) -> EigenPair:
@@ -148,11 +144,12 @@ def eigenpairs(h) -> EigenPair:
     function's.
     """
     h = np.asarray(h, dtype=complex)
-    if h.shape != (2, 2) or not np.all(np.isfinite(h)):
+    entries = h.ravel().tolist()
+    if h.shape != (2, 2) or not all(map(cmath.isfinite, entries)):
         raise NumericsError("eigenpairs expects a finite 2x2 matrix")
-    lam_p, lam_m = eigenvalues(h)
-    return EigenPair(lambda_plus=complex(lam_p), lambda_minus=complex(lam_m),
-                     v_plus=_eigvec(h, lam_p), v_minus=_eigvec(h, lam_m))
+    lam_p, lam_m = (complex(lam) for lam in eigenvalues(h))
+    return EigenPair(lambda_plus=lam_p, lambda_minus=lam_m,
+                     v_plus=_eigvec(*entries, lam_p), v_minus=_eigvec(*entries, lam_m))
 
 
 def _pair_by_continuity(prev_pair, new_unordered):
@@ -243,6 +240,8 @@ def find_exceptional_points(config_template: SystemConfig, region, seeds_per_axi
         raise ConfigError("EP search region must be a non-degenerate rectangle at drive strengths >= 0")
     if seeds_per_axis < 8:
         raise ConfigError("seeds_per_axis must be at least 8")
+    if not 0 <= gap_rtol < math.inf:
+        raise ConfigError(f"gap_rtol must be finite and >= 0, got {gap_rtol!r}")
     bare = hamiltonian_on_plane(config_template, 0.0, d_lo, tie_tm_detuning)  # undriven: diagonal at every delta
     d0 = bare[0, 0] - bare[1, 1]
     if d0 == 0:

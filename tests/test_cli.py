@@ -170,7 +170,7 @@ def test_encircle_artifacts(tmp_path):
     stem = str(tmp_path / "loop")
     code = cli.main(["encircle", "--preset", "fig6a", "--out", stem,
                      "--set", "loop.samples=64", "--set", "loop.period=1e-6",
-                     "--set", "rtol=1e-6"])
+                     "--set", "rtol=1e-6", "--format", "csv,json"])
     assert code == 0
     header, fwd = read_rows(stem + ".csv")
     assert header == ["t", "theta", "p_in", "delta", "f_a", "f_b", "log_norm"]
@@ -179,6 +179,14 @@ def test_encircle_artifacts(tmp_path):
     assert len(rev) == 64
     for row in fwd:
         assert row[4] + row[5] == pytest.approx(1.0, abs=1e-12)
+    # what each evolve did sits in the metadata, outside the data section
+    for suffix in ("", "_reverse"):
+        meta = read_json(stem + suffix + ".json")["metadata"]
+        assert int(meta["substeps"]) >= 8 and int(meta["passes"]) >= 2
+        assert 0 <= float(meta["disagreement_fractions"]) <= 1e-6
+        assert 0 <= float(meta["disagreement_log_norm"]) <= 1e-6
+        with open(stem + suffix + ".csv") as fh:
+            assert f"# substeps: {meta['substeps']}\n" in fh.read()
     report = read_json(stem + "_chirality.json")["data"]
     assert report["align_shift"] == 32  # half of 64 samples
     assert 0.0 <= report["final_fraction_difference"] <= 1.0
@@ -234,11 +242,21 @@ def test_bad_override_exits_2(tmp_path, capsys):
             # non-finite numbers are config errors, found before any evolve runs
             ("encircle", "fig6a", "loop.samples=Infinity", "loop.samples"),
             ("find-ep", "fig5", "seeds_per_axis=Infinity", "seeds_per_axis"),
-            ("encircle", "fig6a", "align_shift_fraction=NaN", "align_shift_fraction")):
+            ("encircle", "fig6a", "align_shift_fraction=NaN", "align_shift_fraction"),
+            # the EP acceptance bound must be finite and >= 0
+            ("find-ep", "fig5", "gap_rtol=-1", "gap_rtol"),
+            ("find-ep", "fig5", "gap_rtol=NaN", "gap_rtol"),
+            ("find-ep", "fig5", "gap_rtol=Infinity", "gap_rtol")):
         assert cli.main([command, "--preset", preset, "--out", stem, "--set", override]) == 2
         err = json.loads(capsys.readouterr().err)
         assert err["error"]["type"] == "config"
         assert key in err["error"]["message"]
+    # the surface takes gap_rtol from a config file's run section
+    path = tmp_path / "run.json"
+    path.write_text(json.dumps({"run": {"gap_rtol": -1}}))
+    assert cli.main(["surface", "--preset", "fig5", "--config", str(path), "--out", stem]) == 2
+    assert "gap_rtol" in json.loads(capsys.readouterr().err)["error"]["message"]
+    path.unlink()
     assert not list(tmp_path.iterdir())  # each is refused before any artifact is written
 
 

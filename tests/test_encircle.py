@@ -1,11 +1,13 @@
 import numpy as np
 import pytest
 
+from magnomech import encircle as enc
 from magnomech.encircle import (
     LoopSpec,
     chirality_report,
     energy_fractions,
     evolve,
+    evolve_both_directions,
     initial_basis,
     parameters_at,
 )
@@ -214,6 +216,83 @@ def test_self_convergence_under_tolerance_tightening():
     fine = evolve(loop, cfg, rtol=1e-10)
     drift = float(np.max(np.abs(coarse.fractions - fine.fractions)))
     assert drift < 1e-4, f"tolerance tightening to rtol/100 moves the fractions by {drift:.2e}"
+    # each trajectory reports the run that made it: the final count and the spread that stopped it
+    assert fine.substeps > coarse.substeps
+    for traj, rtol in ((coarse, 1e-8), (fine, 1e-10)):
+        assert set(traj.disagreement) == {"fractions", "log_norm"}
+        assert max(traj.disagreement.values()) <= rtol
+        assert 2 <= traj.passes <= np.log2(traj.substeps) - 1
+
+
+def _magnus_reference(x0, x1):
+    """Traceless 4th-order Magnus exponent of each step, by stacked matrix products."""
+    omega = (x0 + x1) / 2 + np.sqrt(3) / 12 * (x1 @ x0 - x0 @ x1)
+    tau = np.trace(omega, axis1=-2, axis2=-1) / 2
+    return omega - tau[:, None, None] * np.eye(2)
+
+
+def _matrices(components):
+    return np.stack(components, axis=-1).reshape(-1, 2, 2)
+
+
+def _relative_error(got, ref):
+    return np.max(np.abs(got - ref).max(axis=(1, 2)) / np.abs(ref).max(axis=(1, 2)))
+
+
+def test_step_kernel_matches_expm_of_the_magnus_exponent(rng):
+    from scipy.linalg import expm
+
+    substeps, e = 8, -0.3j
+    hs = rng.normal(size=(64, 2, 2, 2)) + 1j * rng.normal(size=(64, 2, 2, 2))
+    hs[0, :] = np.eye(2) + 1e-9 * hs[0, 0]  # s ~ 1e-9
+    hs[1, :] = [[2.0 + 1.0j, 1.5 - 0.5j], [0.0, 2.0 + 1.0j]]  # equal points, nilpotent W: s = 0, W != 0
+    tau, mean, comm = enc._exponents(hs, e)
+    x = e * hs
+    np.testing.assert_allclose(tau, np.trace(x, axis1=-2, axis2=-1).sum(axis=1) / 4, rtol=1e-14)
+    for sense in (1, -1):
+        w = [m + c if sense > 0 else m - c for m, c in zip(mean, comm)]
+        steps = enc._exp_traceless(*w)
+        assert [c[1] for c in steps] == [1, w[1][1], 0, 1]  # exp(W) = I + W exactly
+        ref_steps = expm(_magnus_reference(*(x[:, 0], x[:, 1])[::sense]))
+        assert _relative_error(_matrices(steps), ref_steps) <= 1e-13
+        ref = []
+        for run in ref_steps.reshape(-1, substeps, 2, 2):
+            prop = np.eye(2)
+            for step in run[::sense]:  # time order: index order for +1, reversed for -1
+                prop = step @ prop
+            ref.append(prop)
+        assert _relative_error(_matrices(enc._products(steps, substeps, sense)), np.array(ref)) <= 1e-13
+
+
+@pytest.mark.parametrize("name", ["fig6a", "fig6c"])
+def test_shared_build_matches_independent_runs(name):
+    loop, cfg = preset_loop(name, period=2.5e-5)
+    forward, reverse = evolve_both_directions(loop, cfg)
+    alone, reverse_alone = evolve(loop, cfg), evolve(loop.reversed(), cfg)
+    # the forward direction is the same code on the same build
+    assert forward.substeps == alone.substeps == reverse_alone.substeps == reverse.substeps
+    np.testing.assert_array_equal(forward.fractions, alone.fractions)
+    np.testing.assert_array_equal(forward.log_norm, alone.log_norm)
+    # the reverse reuses the forward operators with swapped Gauss points
+    assert reverse.loop == loop.reversed()
+    for field in ("times", "theta", "p_in", "delta"):
+        np.testing.assert_array_equal(getattr(reverse, field), getattr(reverse_alone, field))
+    assert np.max(np.abs(reverse.fractions - reverse_alone.fractions)) <= 1e-10
+    scale = np.maximum(1.0, np.abs(reverse_alone.log_norm))
+    assert np.max(np.abs(reverse.log_norm - reverse_alone.log_norm) / scale) <= 1e-12
+    # the predicted count is the plain doubling ladder's: double until two successive passes agree
+    basis = initial_basis(loop, cfg)
+    substeps, previous = 4, None
+    while True:
+        runs = [(energy_fractions(states, basis), log_norm) for states, log_norm in
+                enc._transport(loop, cfg, False, basis[0], substeps, (1, -1))]
+        if previous is not None and all(
+                np.all(np.abs(f - f0) <= 1e-8) and np.all(np.abs(ln - ln0) <= 1e-8 * np.maximum(1.0, np.abs(ln)))
+                for (f, ln), (f0, ln0) in zip(runs, previous)):
+            break
+        previous, substeps = runs, 2 * substeps
+    assert forward.substeps == substeps
+    assert forward.passes < np.log2(substeps) - 1  # the ladder runs 4, 8, ..., substeps
 
 
 def test_chirality_report_identical_inputs_zero_metrics():

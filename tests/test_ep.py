@@ -79,9 +79,39 @@ def test_defective_matrix_collapses():
     assert pair.lambda_plus == pair.lambda_minus == 2.0 + 1.0j
 
 
+def _reference_eigvec(h, lam):
+    """The eigenvector construction in numpy array arithmetic: same candidates and phase convention."""
+    cand_a = np.array([h[0, 1], lam - h[0, 0]], dtype=complex)
+    cand_b = np.array([lam - h[1, 1], h[1, 0]], dtype=complex)
+    v = cand_a if np.linalg.norm(cand_a) >= np.linalg.norm(cand_b) else cand_b
+    n = np.linalg.norm(v)
+    if n == 0:
+        v, n = np.array([1.0, 0.0], dtype=complex), 1.0
+    v = v / n
+    top = v[int(np.argmax(np.abs(v)))]
+    return v * np.conj(top) / abs(top)
+
+
+def test_eigenvectors_match_the_array_reference(rng):
+    # the array route fuses multiply-adds in its norm and phase products, so the two
+    # agree to rounding; the scalar route keeps the dominant entry exactly real
+    cases = [random_matrix(rng) * 10.0 ** rng.uniform(-3, 10) for _ in range(200)]
+    cases += [np.diag([1.0 + 1.0j, 1.0 + 1.0j]), np.array([[2.0 + 1.0j, 1.0], [0.0, 2.0 + 1.0j]]),
+              np.diag([3.0, -1.0j]), np.array([[0.0, 1.0], [1.0, 0.0]])]
+    for h in cases:
+        pair = eigenpairs(h)
+        for lam, v in ((pair.lambda_plus, pair.v_plus), (pair.lambda_minus, pair.v_minus)):
+            assert v.dtype == complex and v.shape == (2,)
+            assert np.max(np.abs(v - _reference_eigvec(h, lam))) <= 1e-15
+            top = v[np.argmax(np.abs(v))]
+            assert top.imag == 0 and top.real > 0
+
+
 def test_eigenpairs_rejects_bad_input():
     with pytest.raises(NumericsError):
         eigenpairs(np.full((2, 2), np.nan + 0j))
+    with pytest.raises(NumericsError):
+        eigenpairs(np.array([[1.0, np.inf], [0.0, 1.0]]))
     with pytest.raises(NumericsError):
         eigenpairs(np.eye(3))
 
@@ -180,6 +210,9 @@ def test_ep_search_validates_region():
         find_exceptional_points(cfg, ((5e11, 1e12), (-1e7, 1e7)), seeds_per_axis=3)
     with pytest.raises(ConfigError):
         find_exceptional_points(cfg, ((-1e11, 1e12), (-1e7, 1e7)))  # negative drive strength
+    for gap_rtol in (-1.0, float("nan"), float("inf")):  # would accept nothing or everything
+        with pytest.raises(ConfigError, match="gap_rtol"):
+            find_exceptional_points(cfg, ((5e11, 1e12), (-1e7, 1e7)), gap_rtol=gap_rtol)
 
 
 def test_empty_region_returns_no_eps():
