@@ -223,21 +223,21 @@ def _artifact(spec, suffix, ext):
     return f"{spec.out_stem}{suffix}.{ext}"
 
 
-def _write_table(spec, suffix, table, extra=None, json_data=None):
+def _write_table(spec, suffix, table, extra=None, json_data=output.json_rows):
     """Write a column table as CSV and, per --format, JSON; return the paths.
 
-    The JSON data is json_data() or by default {"columns", "rows"}. It is built after the CSV is
-    written, so the two never hold memory at once.
+    Each column is formatted once, and both files are joined from those cell
+    strings: the JSON data is json_data of each column's JSON cell text.
     """
+    cells = {name: output.format_column(col) for name, col in table.items()}
     written = []
     if "csv" in spec.formats:
         written.append(_artifact(spec, suffix, "csv"))
-        output.write_csv(written[-1], table, _meta(spec, extra))
+        output.write_csv(written[-1], table, _meta(spec, extra), list(cells.values()))
     if "json" in spec.formats:
         written.append(_artifact(spec, suffix, "json"))
-        data = json_data() if json_data else {
-            "columns": list(table), "rows": list(zip(*(np.asarray(col).tolist() for col in table.values())))}
-        output.write_json(written[-1], data, _meta(spec, extra))
+        cells = {name: output.json_cells(table[name], text) for name, text in cells.items()}
+        output.write_json(written[-1], json_data(cells), _meta(spec, extra))
     return written
 
 
@@ -247,7 +247,7 @@ def _run_coupling(spec: RunSpec):
         "g_a_re": g.g_a.real, "g_a_im": g.g_a.imag, "g_a_abs": abs(g.g_a),
         "g_b_re": g.g_b.real, "g_b_im": g.g_b.imag, "g_b_abs": abs(g.g_b),
     }
-    return _write_table(spec, "", {name: [value] for name, value in row.items()}, json_data=lambda: row)
+    return _write_table(spec, "", {name: [value] for name, value in row.items()}, json_data=lambda cells: row)
 
 
 def _run_self_energy(spec: RunSpec):
@@ -288,10 +288,16 @@ def _run_spectrum(spec: RunSpec):
     swept = run.get("swept", "TE")
     psd = spectrum.psd_map(spec.config, omega_grid, detuning_grid, swept=swept,
                            noise=_noise_from_run(run))
+    n = omega_grid.size
     table = {"omega": output.GridAxis(omega_grid, tile=detuning_grid.size),
-             "detuning": output.GridAxis(detuning_grid, repeat=omega_grid.size), "psd": psd.ravel()}
-    return _write_table(spec, "", table, {"swept": swept}, lambda: {
-        "omega": omega_grid.tolist(), "detuning": detuning_grid.tolist(), "psd": psd.tolist()})
+             "detuning": output.GridAxis(detuning_grid, repeat=n), "psd": psd.ravel()}
+
+    def json_data(cells):  # the (detuning, omega) matrix layout, rows of n cells
+        rows = ", ".join(output.json_list(cells["psd"][k:k + n]) for k in range(0, psd.size, n))
+        return output.JsonText(f'{{"detuning": {output.json_list(cells["detuning"][::n])}, '
+                               f'"omega": {output.json_list(cells["omega"][:n])}, "psd": [{rows}]}}')
+
+    return _write_table(spec, "", table, {"swept": swept}, json_data)
 
 
 def _region_from_run(run):

@@ -4,9 +4,10 @@ Every file carries a metadata header (preset, config hash, unit system,
 column names) and a data section whose bytes depend only on the inputs:
 no timestamps, no environment echoes, platform-stable float formatting.
 Tables are columns: a mapping from column name to a 1-D array or a
-GridAxis. CSV metadata lines start with '#'; the data section is
-everything after them. JSON artifacts are one compact sorted-key line
-{"metadata": ..., "data": ...}; their data section compares parsed values.
+GridAxis, formatted once per cell for both CSV and JSON. CSV metadata
+lines start with '#'; the data section is everything after them. JSON
+artifacts are one compact sorted-key line {"data": ..., "metadata": ...};
+their data section compares parsed values.
 """
 
 from __future__ import annotations
@@ -38,6 +39,10 @@ def config_hash(config, run_params=None) -> str:
     return hashlib.sha256(blob.encode()).hexdigest()[:16]
 
 
+class JsonText(str):
+    """A data section already encoded as JSON text, which write_json writes verbatim."""
+
+
 def format_column(column):
     """CSV text of a 1-D column, one string per cell: bools as 1/0, ints by str, floats by repr."""
     if isinstance(column, GridAxis):
@@ -49,6 +54,26 @@ def format_column(column):
     if col.dtype.kind in "iu":
         return list(map(str, col.tolist()))
     return list(map(repr, col.astype(float).tolist()))
+
+
+def json_cells(column, cells):
+    """JSON text of a column's format_column cells: JSON's names for nan, inf and bools, else the same text."""
+    values = np.asarray(column.values if isinstance(column, GridAxis) else column)
+    if values.dtype == np.bool_:
+        return ["true" if c == "1" else "false" for c in cells]
+    if values.dtype.kind in "iu" or np.isfinite(values).all():
+        return cells
+    return [{"nan": "NaN", "inf": "Infinity", "-inf": "-Infinity"}.get(c, c) for c in cells]
+
+
+def json_list(cells):
+    return "[" + ", ".join(cells) + "]"
+
+
+def json_rows(cells):
+    """The {"columns", "rows"} JSON text of a table from its columns' json_cells."""
+    rows = ", ".join(map(json_list, zip(*cells.values())))
+    return JsonText(f'{{"columns": {json.dumps(list(cells))}, "rows": [{rows}]}}')
 
 
 def metadata_block(command, preset, config, run_params=None, extra=None):
@@ -63,9 +88,9 @@ def metadata_block(command, preset, config, run_params=None, extra=None):
     return meta
 
 
-def write_csv(path, table, metadata):
-    """Write a CSV artifact: '#'-prefixed metadata header, then the data section."""
-    cols = [format_column(col) for col in table.values()]
+def write_csv(path, table, metadata, cells=None):
+    """Write a CSV artifact: '#'-prefixed metadata header, then the data section; cells are format_column's."""
+    cols = cells or [format_column(col) for col in table.values()]
     lines = [f"# {key}: {value}" for key, value in metadata.items()]
     lines.append(f"# columns: {','.join(table)}")
     lines.append(",".join(table))
@@ -75,9 +100,10 @@ def write_csv(path, table, metadata):
 
 
 def write_json(path, data, metadata):
-    # one-shot dumps without indent runs the C encoder
+    """Write a JSON artifact, one line as json.dumps(..., sort_keys=True) writes it; JsonText goes in verbatim."""
+    text = data if isinstance(data, JsonText) else json.dumps(data, sort_keys=True)
     with open(path, "w", newline="") as fh:
-        fh.write(json.dumps({"metadata": metadata, "data": data}, sort_keys=True) + "\n")
+        fh.write(f'{{"data": {text}, "metadata": {json.dumps(metadata, sort_keys=True)}}}\n')
 
 
 def data_section(path) -> bytes:

@@ -1,12 +1,12 @@
 """Thermal-noise output spectra of the driven optical branch.
 
-Two computation routes for the same transfer coefficients:
+Three computation routes for the same transfer coefficients:
 
 - linear_system_response: direct solve of the closed six-variable
   frequency-domain system in (b, b~, r, r~, m, m~), where x~[w] means
-  x*[-w]. This is the default path and the oracle; psd and psd_map use
-  the same assembly, broadcast over frequency and pump detunings, and
-  the same batched solve.
+  x*[-w]. It is the oracle.
+- psd and psd_map: elimination of the diagonal (r, r~, m, m~) block down
+  to a conditioning-checked 2x2 system in (b, b~), over whole grids.
 - closed_form_response: analytic elimination of the mechanical and
   magnetic sectors down to a scalar loop equation for b[w]; it agrees
   with the direct solve to numerical precision.
@@ -23,7 +23,8 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .errors import ConfigError, NumericsError
-from .model import SystemConfig, _checked_grid, _pump_frame, effective_couplings, susceptibility
+from .model import (SystemConfig, _abs, _checked_grid, _drives, _every, _finite, _mul, _pump_frame, _reciprocal,
+                    effective_couplings, susceptibility)
 
 # noise channels: thermal force on phonon/magnon at +w, conjugate partner at -w
 R_PLUS, R_MINUS, M_PLUS, M_MINUS = "r+", "r-", "m+", "m-"
@@ -31,6 +32,7 @@ ALL_CHANNELS = frozenset((R_PLUS, R_MINUS, M_PLUS, M_MINUS))
 _CHANNEL_ORDER = (R_PLUS, R_MINUS, M_PLUS, M_MINUS)
 
 _COND_LIMIT = 1e13  # condition number above this flags parameter pathology
+_BLOCK_CELLS = 4096  # grid cells per psd_map array pass: bounds its temporaries, never its values
 
 
 @dataclass(frozen=True)
@@ -46,46 +48,22 @@ class NoiseParams:
             raise ConfigError(f"unknown noise channels: {sorted(bad)}")
 
 
-def _assemble(config, omega, det_tm, det_te):
-    """System matrix A (..., 6, 6) over broadcast omega and pump detunings, and the drive matrix (6, 4)."""
-    omega = np.asarray(omega, dtype=float)
-    ga, gb, inv, inv_ref = _pump_frame(config, config.drive_tm.effective_strength,
-                                       config.drive_te.effective_strength, det_tm, det_te, omega)
+def _assemble(config, omega):
+    """System matrix A (6, 6) at one frequency and the configured pump detunings, and the drive matrix (6, 4)."""
+    ga, gb, inv, inv_ref = _pump_frame(config, *_drives(config), omega)
     gr, om_r = config.phonon.gamma, config.phonon.omega
     gm, om_m = config.magnon.gamma, config.magnon.omega
-    A = np.zeros(np.broadcast_shapes(omega.shape, np.shape(det_tm), np.shape(det_te)) + (6, 6), dtype=complex)
-    A[..., 0, 0] = inv
-    A[..., 1, 1] = inv_ref
-    A[..., 2, 2] = gr / 2 - 1j * (omega - om_r)
-    A[..., 3, 3] = gr / 2 - 1j * (omega + om_r)
-    A[..., 4, 4] = gm / 2 - 1j * (omega - om_m)
-    A[..., 5, 5] = gm / 2 - 1j * (omega + om_m)
-    A[..., 0, 2] = A[..., 0, 3] = 1j * gb
-    A[..., 0, 4] = 1j * ga
-    A[..., 1, 2] = A[..., 1, 3] = -1j * np.conj(gb)
-    A[..., 1, 5] = -1j * np.conj(ga)
-    A[..., 2, 0] = 1j * np.conj(gb)
-    A[..., 2, 1] = 1j * gb
-    A[..., 3, 0] = -1j * np.conj(gb)
-    A[..., 3, 1] = -1j * gb
-    A[..., 4, 0] = 1j * ga
-    A[..., 5, 1] = -1j * np.conj(ga)
+    gac, gbc = np.conj(ga), np.conj(gb)
+    A = np.array([[inv, 0, 1j * gb, 1j * gb, 1j * ga, 0],
+                  [0, inv_ref, -1j * gbc, -1j * gbc, 0, -1j * gac],
+                  [1j * gbc, 1j * gb, gr / 2 - 1j * (omega - om_r), 0, 0, 0],
+                  [-1j * gbc, -1j * gb, 0, gr / 2 - 1j * (omega + om_r), 0, 0],
+                  [1j * ga, 0, 0, 0, gm / 2 - 1j * (omega - om_m), 0],
+                  [0, -1j * gac, 0, 0, 0, gm / 2 - 1j * (omega + om_m)]], dtype=complex)
     rhs = np.zeros((6, 4), dtype=complex)
     rhs[2, 0] = rhs[3, 1] = np.sqrt(gr)
     rhs[4, 2] = rhs[5, 3] = np.sqrt(gm)
     return A, rhs
-
-
-def _coefficients(A, rhs):
-    """b[w] transfer coefficient per noise channel, shape (..., 4), channel order r+ r- m+ m-."""
-    try:
-        sol = np.linalg.solve(A, rhs)
-    except np.linalg.LinAlgError as exc:
-        raise NumericsError(f"frequency-domain system singular: {exc}") from exc
-    coeffs = sol[..., 0, :]
-    if not np.all(np.isfinite(coeffs)):
-        raise NumericsError("frequency-domain solve produced non-finite coefficients")
-    return coeffs
 
 
 def linear_system_response(omega, config: SystemConfig, noise: NoiseParams | None = None):
@@ -97,11 +75,11 @@ def linear_system_response(omega, config: SystemConfig, noise: NoiseParams | Non
     noise = noise or NoiseParams()
     if np.size(omega) != 1:
         raise ConfigError("linear_system_response evaluates one frequency; use psd_map for grids")
-    A, rhs = _assemble(config, np.reshape(omega, ()), config.drive_tm.detuning, config.drive_te.detuning)
+    A, rhs = _assemble(config, np.reshape(omega, ()))
     cond = np.linalg.cond(A)
     if not np.isfinite(cond) or cond > _COND_LIMIT:
         raise NumericsError(f"frequency-domain system near-singular (condition number {cond:.3e})")
-    coeffs = _coefficients(A, rhs).tolist()
+    coeffs = np.linalg.solve(A, rhs)[0].tolist()
     return {ch: coeffs[k] for k, ch in enumerate(_CHANNEL_ORDER) if ch in noise.channels}
 
 
@@ -157,16 +135,54 @@ def closed_form_response(omega, config: SystemConfig):
     return {ch: complex(coeffs[k]) for k, ch in enumerate(_CHANNEL_ORDER)}
 
 
-def _psd(config, omega, det_tm, det_te, noise):
-    coeffs = _coefficients(*_assemble(config, omega, det_tm, det_te))
-    mask = [ch in noise.channels for ch in _CHANNEL_ORDER]
-    return noise.unit_psd * np.sum(np.abs(coeffs[..., mask]) ** 2, axis=-1)
+def _abs2(z):
+    return z.real * z.real + z.imag * z.imag
+
+
+def _psd(config, omega, det_tm, det_te, g_a, g_b, inv, inv_ref, noise):
+    """PSD over broadcast omega and detunings by Cramer's rule on M, the (b, b~) Schur complement of A.
+
+    With D = chi_r - chi_r~: M00 = inv + |g_b|^2 D + g_a^2 chi_m, M01 = g_b^2 D, M10 = -conj(g_b)^2 D and
+    M11 = inv_ref - |g_b|^2 D + conj(g_a)^2 chi_m~. Every gamma > 0 keeps the eliminated block regular,
+    so A is near-singular exactly when M is, by ||M||_F^2 / |det M| = ||M||_F ||M^-1||_F > _COND_LIMIT.
+    Scalars and arrays take the same steps through _mul and _reciprocal: a grid cell rounds like its point.
+    """
+    gr, om_r = config.phonon.gamma, config.phonon.omega
+    gm, om_m = config.magnon.gamma, config.magnon.omega
+    chi_r, chi_r_ref, chi_m, chi_m_ref = (_reciprocal(gamma / 2 - 1j * (omega + shift)) for gamma, shift in
+                                          ((gr, -om_r), (gr, om_r), (gm, -om_m), (gm, om_m)))
+    g_a_ref, g_b_ref = g_a.conjugate(), g_b.conjugate()  # np.conj would make a Python complex numpy's
+    d = chi_r - chi_r_ref
+    gb2_d = _mul(_abs2(g_b), d)
+    m00 = inv + gb2_d + _mul(_mul(g_a, g_a), chi_m)
+    m01 = _mul(_mul(g_b, g_b), d)
+    m11 = inv_ref - gb2_d + _mul(_mul(g_a_ref, g_a_ref), chi_m_ref)
+    det = _mul(m00, m11) + _mul(gb2_d, gb2_d)  # M01 M10 = -(|g_b|^2 D)^2
+    frob2 = _abs2(m00) + 2 * _abs2(m01) + _abs2(m11)  # |M10| = |M01|
+    if not _every(_abs(det) * _COND_LIMIT >= frob2):  # false also where either is nan
+        with np.errstate(all="ignore"):
+            cond = np.divide(frob2, _abs(det))
+        k = np.argmax(~(cond <= _COND_LIMIT))
+        raise NumericsError("(b, b~) system near-singular: condition number {:.3e} at detuning_tm {!r}, "
+                            "detuning_te {!r}, omega {!r}".format(*(float(np.broadcast_to(
+                                x, cond.shape).flat[k]) for x in (cond, det_tm, det_te, omega))))
+    r_num = _abs2(_mul(g_b, m11) + _mul(g_b_ref, m01))
+    parts = (gr * _abs2(chi_r) * r_num, gr * _abs2(chi_r_ref) * r_num,
+             gm * _abs2(_mul(g_a, chi_m)) * _abs2(m11), gm * _abs2(_mul(g_a_ref, chi_m_ref)) * _abs2(m01))
+    power = noise.unit_psd * (sum(p for p, ch in zip(parts, _CHANNEL_ORDER) if ch in noise.channels)
+                              / _abs2(det))
+    if not _finite(power):
+        raise NumericsError("PSD evaluated non-finite")
+    return power
 
 
 def psd(omega, config: SystemConfig, noise: NoiseParams | None = None):
-    """Output power spectral density: incoherent channel sum of |transfer|^2 times unit_psd."""
-    out = _psd(config, omega, config.drive_tm.detuning, config.drive_te.detuning, noise or NoiseParams())
-    return float(out) if np.ndim(out) == 0 else out
+    """Output power spectral density: incoherent channel sum of |transfer|^2 times unit_psd (a float at one omega)."""
+    omega = float(omega) if np.ndim(omega) == 0 else np.asarray(omega, dtype=float)
+    g_a, g_b, inv, inv_ref = _pump_frame(config, *_drives(config), omega)
+    out = _psd(config, omega, config.drive_tm.detuning, config.drive_te.detuning, complex(g_a), complex(g_b),
+               inv, inv_ref, noise or NoiseParams())
+    return out if isinstance(out, np.ndarray) else float(out)
 
 
 def psd_map(config_template: SystemConfig, omega_grid, detuning_grid, swept: str = "TE",
@@ -175,8 +191,10 @@ def psd_map(config_template: SystemConfig, omega_grid, detuning_grid, swept: str
 
     Returns a float array of shape (n_detuning, n_omega): row k is, bit for
     bit, the psd over omega_grid with the swept pump at detuning_grid[k].
-    Each row is one assembly and one batched solve with that detuning
-    passed in; no config is rebuilt, and evaluation order never changes values.
+    Each row takes its couplings as a point does; the cells are evaluated
+    in array passes over blocks of rows, the detunings as a column, which
+    bounds the temporaries. No config is rebuilt, and evaluation order
+    never changes values.
     """
     if swept not in ("TE", "TM"):
         raise ConfigError(f"swept must be 'TE' or 'TM', got {swept!r}")
@@ -184,8 +202,18 @@ def psd_map(config_template: SystemConfig, omega_grid, detuning_grid, swept: str
     detuning_grid = _checked_grid("detuning_grid", detuning_grid)
     noise = noise or NoiseParams()
     det_tm, det_te = config_template.drive_tm.detuning, config_template.drive_te.detuning
+
+    def detunings(det):  # (TM, TE) with the swept pump at det
+        return (det_tm, det) if swept == "TE" else (det, det_te)
+
+    strengths = (config_template.drive_tm.effective_strength, config_template.drive_te.effective_strength)
+    g = np.array([_pump_frame(config_template, *strengths, *detunings(det), 0.0)[:2]
+                  for det in detuning_grid.tolist()], dtype=complex)
     out = np.empty((detuning_grid.size, omega_grid.size))
-    for k, det in enumerate(detuning_grid.tolist()):
-        dets = (det_tm, det) if swept == "TE" else (det, det_te)
-        out[k] = _psd(config_template, omega_grid, *dets, noise)
+    rows = max(1, _BLOCK_CELLS // omega_grid.size)
+    for lo in range(0, detuning_grid.size, rows):
+        block = slice(lo, lo + rows)
+        dets = detunings(detuning_grid[block, None])
+        inv = _pump_frame(config_template, *strengths, *dets, omega_grid)[2:]  # couplings come from g
+        out[block] = _psd(config_template, omega_grid, *dets, g[block, :1], g[block, 1:], *inv, noise)
     return out

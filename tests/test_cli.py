@@ -317,6 +317,17 @@ def test_numerics_error_exits_3(tmp_path, monkeypatch, capsys):
     assert "synthetic" in err["error"]["message"]
 
 
+def test_near_singular_spectrum_exits_3(tmp_path, monkeypatch, capsys):
+    monkeypatch.setattr(cli.spectrum, "_COND_LIMIT", 1.0)
+    code = cli.main(["spectrum", "--preset", "fig4a", "--out", str(tmp_path / "s"),
+                     "--set", "omega_grid=0.4e9:2.0e9:5", "--set", "detuning_grid=-3e7:1e7:3"])
+    assert code == 3
+    err = json.loads(capsys.readouterr().err)["error"]
+    assert err["type"] == "numeric"
+    assert "condition number" in err["message"] and "omega 400000000.0" in err["message"]
+    assert not list(tmp_path.iterdir())
+
+
 def test_grid_triplet_parsing():
     assert cli._parse_value("1e6:2e6:5") == [1e6, 2e6, 5]
     assert cli._parse_value("true") is True
@@ -349,6 +360,46 @@ def test_float_cells_are_exact_reprs(tmp_path):
         _, header, *rows = fh.read().splitlines()
     assert header == "v,axis"
     assert rows == [f"{v!r},{a!r}" for v, a in zip(values, [-0.0] * 4 + [0.5] * 4)]
+
+
+def test_table_json_is_the_encoders_text_and_csv_the_cell_text(tmp_path):
+    values = np.array([-0.0, np.nan, np.inf, -np.inf, 5e-324, 1e300, 0.1 + 0.2, 7.0])
+    table = {"v": values, "n": np.arange(8) - 3, "flag": values > 0,
+             "axis": GridAxis(np.array([-0.0, 0.5]), repeat=4)}
+    spec = cli.RunSpec("coupling", None, get_preset("fig5").config, {}, str(tmp_path / "t"), ("csv", "json"))
+    assert cli._write_table(spec, "", table, {"note": "x"}) == [spec.out_stem + ".csv", spec.out_stem + ".json"]
+    meta = cli._meta(spec, {"note": "x"})
+    rows = list(zip(*(np.asarray(col).tolist() for col in table.values())))
+    with open(spec.out_stem + ".json") as fh:
+        assert fh.read() == json.dumps({"metadata": meta, "data": {"columns": list(table), "rows": rows}},
+                                       sort_keys=True) + "\n"
+    write_csv(str(tmp_path / "direct.csv"), table, meta)
+    with open(spec.out_stem + ".csv") as fh, open(tmp_path / "direct.csv") as direct:
+        text = fh.read()
+        assert text == direct.read()
+    axis = [-0.0] * 4 + [0.5] * 4
+    assert text.splitlines()[-9:] == ["v,n,flag,axis"] + [
+        f"{v!r},{n},{int(v > 0)},{a!r}" for v, n, a in zip(values.tolist(), range(-3, 5), axis)]
+
+
+def test_every_grid_preset_csv_and_json_agree(tmp_path):
+    """The CSV and JSON data of each non-loop preset parse to the same values, cell for cell."""
+    for name, preset in sorted(REGISTRY.items()):
+        if preset.command == "encircle":
+            continue
+        out_dir = tmp_path / name
+        out_dir.mkdir()
+        assert cli.main([preset.command, "--preset", name, "--out", str(out_dir / name), "--format", "csv,json"]) == 0
+        for csv_path in sorted(out_dir.glob("*.csv")):
+            with open(csv_path) as fh:
+                body = [line.strip() for line in fh if not line.startswith("#")][1:]
+            rows = np.array(",".join(body).split(","), dtype=float).reshape(len(body), -1)
+            data = read_json(str(csv_path.with_suffix(".json")))["data"]
+            if preset.command == "spectrum":  # CSV row k * n_omega + j is the cell psd[k][j]
+                omega, dets = np.array(data["omega"]), np.array(data["detuning"])
+                data["rows"] = np.column_stack([np.tile(omega, dets.size), np.repeat(dets, omega.size),
+                                                np.ravel(data["psd"])])
+            assert np.array_equal(rows, np.array(data["rows"], dtype=float), equal_nan=True), csv_path.name
 
 
 def test_grid_axis_text_matches_its_expanded_values():

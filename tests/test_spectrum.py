@@ -1,7 +1,9 @@
 import numpy as np
 import pytest
 
-from magnomech.errors import ConfigError
+from magnomech import spectrum
+from magnomech.errors import ConfigError, NumericsError
+from magnomech.presets import get_preset
 from magnomech.spectrum import (
     ALL_CHANNELS,
     NoiseParams,
@@ -59,6 +61,27 @@ def test_psd_nonnegative_and_channel_additive(rng):
     assert np.allclose(parts, total, rtol=1e-12, atol=0)
 
 
+def direct_psd(omega, cfg, noise):
+    return noise.unit_psd * sum(abs(v) ** 2 for v in linear_system_response(omega, cfg, noise).values())
+
+
+def test_psd_is_the_channel_sum_of_the_direct_solve(rng):
+    """The (b, b~) elimination against the 6x6 oracle: each channel alone and all of them."""
+    masks = [NoiseParams(channels=frozenset((ch,))) for ch in sorted(ALL_CHANNELS)] + [NoiseParams()]
+    for _ in range(200):
+        cfg = random_config(rng)
+        w = rng.uniform(0.3e9, 2.2e9)
+        for noise in masks:
+            assert psd(w, cfg, noise) == pytest.approx(direct_psd(w, cfg, noise), rel=1e-12, abs=0)
+    omega, dets = np.linspace(0.4e9, 2.0e9, 40), np.linspace(-5e7, 5e7, 30)
+    for swept, key in (("TE", "te"), ("TM", "tm")):
+        cfg = random_config(rng)
+        grid = psd_map(cfg, omega, dets, swept=swept)
+        for k, j in zip(rng.integers(0, dets.size, 40), rng.integers(0, omega.size, 40)):
+            want = direct_psd(omega[j], cfg.with_drive_detunings(**{key: dets[k]}), NoiseParams())
+            assert grid[k, j] == pytest.approx(want, rel=1e-12, abs=0)
+
+
 def test_psd_unit_scaling():
     cfg = build_config()
     grid = np.linspace(0.8e9, 1.2e9, 5)
@@ -93,6 +116,36 @@ def test_psd_map_ordering_and_sweep_axis():
             for k, det in enumerate(dets):
                 assert np.array_equal(grids[swept][k], psd(omega, cfg.with_drive_detunings(**{key: det})))
         assert not np.array_equal(grids["TE"], grids["TM"])
+
+
+def test_psd_map_cells_equal_points_bit_for_bit(rng):
+    """A sampled map cell is, bit for bit, the point psd with the swept pump moved to its detuning."""
+    fig4c = get_preset("fig4c")
+    cases = ((fig4c.config, fig4c.run_params["omega_grid"], fig4c.run_params["detuning_grid"], "TE"),
+             (random_config(rng), [0.4e9, 2.0e9, 300], [-5e7, 5e7, 200], "TM"))
+    for cfg, (w_lo, w_hi, n_w), (d_lo, d_hi, n_d), swept in cases:
+        omega, dets = np.linspace(w_lo, w_hi, n_w), np.linspace(d_lo, d_hi, n_d)
+        grid = psd_map(cfg, omega, dets, swept=swept)
+        key = "te" if swept == "TE" else "tm"
+        for k, j in zip(rng.integers(0, n_d, 300), rng.integers(0, n_w, 300)):
+            point = psd(float(omega[j]), cfg.with_drive_detunings(**{key: dets[k]}))
+            assert point == grid[k, j], (swept, k, j, point, grid[k, j])
+
+
+def test_near_singular_system_is_reported_with_its_cell(monkeypatch):
+    # ||M||_F^2 / |det M| is at least 2, so a limit of 1 flags every cell and names the first one
+    cfg = build_config(delta_tm=-3e6, delta_te=4e6)
+    omega, dets = np.array([0.9e9, 1.0e9]), np.array([-1e7, 2e6])
+    monkeypatch.setattr(spectrum, "_COND_LIMIT", 1.0)
+    with pytest.raises(NumericsError, match=r"condition number \S+ at detuning_tm -3000000.0, "
+                                            r"detuning_te 4000000.0, omega 1000000000.0"):
+        psd(1e9, cfg)
+    with pytest.raises(NumericsError, match=r"at detuning_tm -3000000.0, detuning_te -10000000.0, "
+                                            r"omega 900000000.0"):
+        psd_map(cfg, omega, dets, swept="TE")
+    with pytest.raises(NumericsError, match=r"at detuning_tm -10000000.0, detuning_te 4000000.0, "
+                                            r"omega 900000000.0"):
+        psd_map(cfg, omega, dets, swept="TM")
 
 
 def test_psd_map_validates_inputs():
