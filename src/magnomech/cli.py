@@ -230,14 +230,14 @@ def _write_table(spec, suffix, table, extra=None, json_data=output.json_rows):
     strings: the JSON data is json_data of each column's JSON cell text.
     """
     cells = {name: output.format_column(col) for name, col in table.items()}
-    written = []
+    meta, written = _meta(spec, extra), []  # one config hash for both files
     if "csv" in spec.formats:
         written.append(_artifact(spec, suffix, "csv"))
-        output.write_csv(written[-1], table, _meta(spec, extra), list(cells.values()))
+        output.write_csv(written[-1], table, meta, list(cells.values()))
     if "json" in spec.formats:
         written.append(_artifact(spec, suffix, "json"))
         cells = {name: output.json_cells(table[name], text) for name, text in cells.items()}
-        output.write_json(written[-1], json_data(cells), _meta(spec, extra))
+        output.write_json(written[-1], json_data(cells), meta)
     return written
 
 
@@ -346,15 +346,14 @@ def _run_surface(spec: RunSpec):
 def _run_find_ep(spec: RunSpec):
     run = spec.run_params
     records = _ep_records(spec, _region_from_run(run), _flag(run, "tie"))
-    written = []
+    meta, written = _meta(spec, {"count": str(len(records))}), []  # one config hash for both files
     path = _artifact(spec, "", "json")
-    output.write_json(path, records, _meta(spec, {"count": str(len(records))}))
+    output.write_json(path, records, meta)
     written.append(path)
     if "csv" in spec.formats:
         path = _artifact(spec, "", "csv")
         columns = ("p_in", "delta", "residual", "lambda_re", "lambda_im", "gap")
-        output.write_csv(path, {c: np.array([r[c] for r in records], dtype=float) for c in columns},
-                         _meta(spec, {"count": str(len(records))}))
+        output.write_csv(path, {c: np.array([r[c] for r in records], dtype=float) for c in columns}, meta)
         written.append(path)
     return written
 
@@ -390,8 +389,6 @@ def _run_encircle(spec: RunSpec):
     tie = _flag(run, "tie")
     rtol = _number("rtol", run.get("rtol", 1e-8))
     shift = _number("align_shift_fraction", run.get("align_shift_fraction", 0.5))
-    if not np.isfinite(shift):
-        raise ConfigError(f"'align_shift_fraction' must be finite, got {shift!r}")
     slope = _number("slope_threshold", run.get("slope_threshold", 0.5))
     primary, reverse = enc.evolve_both_directions(loop, spec.config, rtol=rtol, tie_tm_detuning=tie)
     report = enc.chirality_report(primary, reverse, align_shift=int(round(loop.samples * shift)),

@@ -29,11 +29,14 @@ MODE_LABELS = (TM_PHOTON, TE_PHOTON, MAGNON, PHONON)
 
 
 def _number(key, value, kind=float):
-    """value converted by kind; a value that is not a number raises ConfigError naming key."""
+    """value converted by kind; a value that is not a finite number raises ConfigError naming key."""
     try:
-        return kind(value)
+        number = kind(value)
+        if _finite(number):
+            return number
     except (TypeError, ValueError, OverflowError):
-        raise ConfigError(f"{key!r} must be a number, got {value!r}") from None
+        pass
+    raise ConfigError(f"{key!r} must be a finite number, got {value!r}")
 
 
 @dataclass(frozen=True)
@@ -48,9 +51,8 @@ class OscillatorMode:
     def __post_init__(self):
         if self.label not in MODE_LABELS:
             raise ConfigError(f"OscillatorMode.label must be one of {MODE_LABELS}, got {self.label!r}")
-        for name in ("omega", "gamma", "gamma_ext"):
-            if not np.isfinite(getattr(self, name)):
-                raise ConfigError(f"OscillatorMode.{name} must be finite")
+        for name in ("omega", "gamma", "gamma_ext"):  # stored as Python floats, also when given numpy scalars
+            object.__setattr__(self, name, _number(f"OscillatorMode.{name}", getattr(self, name)))
         if not self.gamma > 0:
             raise ConfigError(f"OscillatorMode.gamma must be positive, got {self.gamma!r}")
         if not 0 <= self.gamma_ext <= self.gamma:
@@ -80,8 +82,8 @@ class PumpDrive:
     def __post_init__(self):
         if self.target not in (TM_PHOTON, TE_PHOTON):
             raise ConfigError(f"PumpDrive.target must be an optical mode, got {self.target!r}")
-        if not (np.isfinite(self.detuning) and np.isfinite(self.effective_strength)):
-            raise ConfigError("PumpDrive fields must be finite")
+        for name in ("detuning", "effective_strength"):  # stored as Python floats, like OscillatorMode's
+            object.__setattr__(self, name, _number(f"PumpDrive.{name}", getattr(self, name)))
         if not self.effective_strength >= 0:
             raise ConfigError(f"PumpDrive.effective_strength must be >= 0, got {self.effective_strength!r}")
 
@@ -111,17 +113,17 @@ class SystemConfig:
     def with_drive_detunings(self, tm=None, te=None):
         cfg = self
         if tm is not None:
-            cfg = replace(cfg, drive_tm=replace(cfg.drive_tm, detuning=float(tm)))
+            cfg = replace(cfg, drive_tm=replace(cfg.drive_tm, detuning=tm))
         if te is not None:
-            cfg = replace(cfg, drive_te=replace(cfg.drive_te, detuning=float(te)))
+            cfg = replace(cfg, drive_te=replace(cfg.drive_te, detuning=te))
         return cfg
 
     def with_strengths(self, tm=None, te=None):
         cfg = self
         if tm is not None:
-            cfg = replace(cfg, drive_tm=replace(cfg.drive_tm, effective_strength=float(tm)))
+            cfg = replace(cfg, drive_tm=replace(cfg.drive_tm, effective_strength=tm))
         if te is not None:
-            cfg = replace(cfg, drive_te=replace(cfg.drive_te, effective_strength=float(te)))
+            cfg = replace(cfg, drive_te=replace(cfg.drive_te, effective_strength=te))
         return cfg
 
     def to_dict(self):

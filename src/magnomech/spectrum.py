@@ -8,8 +8,8 @@ Three computation routes for the same transfer coefficients:
 - psd and psd_map: elimination of the diagonal (r, r~, m, m~) block down
   to a conditioning-checked 2x2 system in (b, b~), over whole grids.
 - closed_form_response: analytic elimination of the mechanical and
-  magnetic sectors down to a scalar loop equation for b[w]; it agrees
-  with the direct solve to numerical precision.
+  magnetic sectors down to a scalar loop equation for b[w], run in Python
+  scalars; it agrees with the direct solve to numerical precision.
 
 The PSD is the channel-incoherent sum of squared transfer magnitudes
 times a flat unit noise level: thermal drives on different modes do not
@@ -20,11 +20,13 @@ occupation over the narrow band of interest.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+import math
+
 import numpy as np
 
 from .errors import ConfigError, NumericsError
-from .model import (SystemConfig, _abs, _checked_grid, _drives, _every, _finite, _mul, _pump_frame, _reciprocal,
-                    effective_couplings, susceptibility)
+from .model import (SystemConfig, _abs, _checked_grid, _drives, _every, _finite, _mul, _number, _pump_frame,
+                    _reciprocal, effective_couplings)
 
 # noise channels: thermal force on phonon/magnon at +w, conjugate partner at -w
 R_PLUS, R_MINUS, M_PLUS, M_MINUS = "r+", "r-", "m+", "m-"
@@ -48,12 +50,19 @@ class NoiseParams:
             raise ConfigError(f"unknown noise channels: {sorted(bad)}")
 
 
+def _frequency(omega, grid=False):
+    """omega as a finite Python float, or with grid also as a finite float array; else ConfigError naming omega."""
+    array = grid and not isinstance(omega, float) and np.ndim(omega) > 0
+    return _number("omega", omega, (lambda w: np.asarray(w, dtype=float)) if array else float)
+
+
 def _assemble(config, omega):
     """System matrix A (6, 6) at one frequency and the configured pump detunings, and the drive matrix (6, 4)."""
     ga, gb, inv, inv_ref = _pump_frame(config, *_drives(config), omega)
+    ga, gb = complex(ga), complex(gb)
+    gac, gbc = ga.conjugate(), gb.conjugate()
     gr, om_r = config.phonon.gamma, config.phonon.omega
     gm, om_m = config.magnon.gamma, config.magnon.omega
-    gac, gbc = np.conj(ga), np.conj(gb)
     A = np.array([[inv, 0, 1j * gb, 1j * gb, 1j * ga, 0],
                   [0, inv_ref, -1j * gbc, -1j * gbc, 0, -1j * gac],
                   [1j * gbc, 1j * gb, gr / 2 - 1j * (omega - om_r), 0, 0, 0],
@@ -61,78 +70,69 @@ def _assemble(config, omega):
                   [1j * ga, 0, 0, 0, gm / 2 - 1j * (omega - om_m), 0],
                   [0, -1j * gac, 0, 0, 0, gm / 2 - 1j * (omega + om_m)]], dtype=complex)
     rhs = np.zeros((6, 4), dtype=complex)
-    rhs[2, 0] = rhs[3, 1] = np.sqrt(gr)
-    rhs[4, 2] = rhs[5, 3] = np.sqrt(gm)
+    rhs[2, 0] = rhs[3, 1] = math.sqrt(gr)
+    rhs[4, 2] = rhs[5, 3] = math.sqrt(gm)
     return A, rhs
 
 
 def linear_system_response(omega, config: SystemConfig, noise: NoiseParams | None = None):
-    """Direct-solve transfer coefficients into b[w] for each enabled unit noise drive.
+    """Direct-solve transfer coefficients into b[w] for each enabled unit noise drive, at one finite omega.
 
     Returns {channel: complex coefficient}. Linear in the drives by
     construction; raises NumericsError when the system is near-singular.
     """
     noise = noise or NoiseParams()
-    if np.size(omega) != 1:
-        raise ConfigError("linear_system_response evaluates one frequency; use psd_map for grids")
-    A, rhs = _assemble(config, np.reshape(omega, ()))
-    cond = np.linalg.cond(A)
-    if not np.isfinite(cond) or cond > _COND_LIMIT:
+    A, rhs = _assemble(config, _frequency(omega))
+    s = np.linalg.svd(A, compute_uv=False).tolist()  # the condition number is s[0] / s[-1]
+    if not s[0] <= _COND_LIMIT * s[-1]:  # false also where either is nan
+        cond = s[0] / s[-1] if s[-1] else math.inf
         raise NumericsError(f"frequency-domain system near-singular (condition number {cond:.3e})")
     coeffs = np.linalg.solve(A, rhs)[0].tolist()
     return {ch: coeffs[k] for k, ch in enumerate(_CHANNEL_ORDER) if ch in noise.channels}
 
 
-def _loop_pieces(omega, config):
+def _chi(gamma, omega_res, omega):
+    return 1 / (gamma / 2 - 1j * (omega - omega_res))
+
+
+def _loop_pieces(omega, config, g_a, g_b):
     """Scalar elimination pieces at one frequency: 1/X, Y and the bare susceptibilities."""
-    g = effective_couplings(config)
     gr, om_r = config.phonon.gamma, config.phonon.omega
-    chi_r = susceptibility(gr, om_r, omega)
-    chi_r_ref = np.conj(susceptibility(gr, om_r, -omega))
-    chi_m = susceptibility(config.magnon.gamma, config.magnon.omega, omega)
+    chi_r = _chi(gr, om_r, omega)
+    chi_r_ref = _chi(gr, om_r, -omega).conjugate()
+    chi_m = _chi(config.magnon.gamma, config.magnon.omega, omega)
     d_r = chi_r - chi_r_ref
-    x_inv = (config.te_photon.gamma / 2 - 1j * (omega + config.drive_te.detuning) + abs(g.g_b) ** 2 * d_r
-             + g.g_a * g.g_a * chi_m)
-    y = g.g_b**2 * d_r
-    return x_inv, y, chi_r, chi_r_ref, chi_m
+    x_inv = (config.te_photon.gamma / 2 - 1j * (omega + config.drive_te.detuning) + abs(g_b) ** 2 * d_r
+             + g_a * g_a * chi_m)
+    return x_inv, g_b * g_b * d_r, chi_r, chi_r_ref, chi_m
 
 
 def closed_form_response(omega, config: SystemConfig):
-    """Analytic elimination of the mechanical and magnetic sectors.
+    """Analytic elimination of the mechanical and magnetic sectors, in Python scalars at one finite omega.
 
     Full channel algebra; matches linear_system_response. Returns
     {channel: complex coefficient} per unit noise amplitude.
     """
-    omega = float(omega)
+    omega = _frequency(omega)
     g = effective_couplings(config)
-    gr = config.phonon.gamma
-    gm = config.magnon.gamma
-    x_inv, y, chi_r, chi_r_ref, chi_m = _loop_pieces(omega, config)
-    x_inv_m, y_m, _, _, _ = _loop_pieces(-omega, config)
+    g_a, g_b = g.g_a, g.g_b
+    x_inv, y, chi_r, chi_r_ref, chi_m = _loop_pieces(omega, config, g_a, g_b)
+    x_inv_m, y_m, _, _, _ = _loop_pieces(-omega, config, g_a, g_b)
     if min(abs(x_inv), abs(x_inv_m)) == 0:
         raise NumericsError("closed-form elimination hit a zero loop denominator")
     x = 1 / x_inv
-    x_ref = np.conj(1 / x_inv_m)  # X*[-w]
-    y_ref = np.conj(y_m)          # Y*[-w]
+    x_ref = (1 / x_inv_m).conjugate()  # X*[-w]
+    y_ref = y_m.conjugate()            # Y*[-w]
     den = 1 - x * y * x_ref * y_ref
     if abs(den) < 1e-12:
         raise NumericsError(f"closed-form loop denominator below tolerance (|den| = {abs(den):.3e})")
-    chi_m_ref = np.conj(susceptibility(gm, config.magnon.omega, -omega))
+    chi_m_ref = _chi(config.magnon.gamma, config.magnon.omega, -omega).conjugate()
     # direct drive vector and its frequency-reflected conjugate, channel order r+ r- m+ m-
-    z = np.array([
-        -1j * g.g_b * np.sqrt(gr) * chi_r,
-        -1j * g.g_b * np.sqrt(gr) * chi_r_ref,
-        -1j * g.g_a * np.sqrt(gm) * chi_m,
-        0.0,
-    ], dtype=complex)
-    z_ref = np.array([
-        1j * np.conj(g.g_b) * np.sqrt(gr) * chi_r,
-        1j * np.conj(g.g_b) * np.sqrt(gr) * chi_r_ref,
-        0.0,
-        1j * np.conj(g.g_a) * np.sqrt(gm) * chi_m_ref,
-    ], dtype=complex)
-    coeffs = x * (z - y * x_ref * z_ref) / den
-    return {ch: complex(coeffs[k]) for k, ch in enumerate(_CHANNEL_ORDER)}
+    root_r, root_m = math.sqrt(config.phonon.gamma), math.sqrt(config.magnon.gamma)
+    z = (-1j * g_b * root_r * chi_r, -1j * g_b * root_r * chi_r_ref, -1j * g_a * root_m * chi_m, 0j)
+    z_ref = (1j * g_b.conjugate() * root_r * chi_r, 1j * g_b.conjugate() * root_r * chi_r_ref, 0j,
+             1j * g_a.conjugate() * root_m * chi_m_ref)
+    return {ch: x * (zk - y * x_ref * zr) / den for ch, zk, zr in zip(_CHANNEL_ORDER, z, z_ref)}
 
 
 def _abs2(z):
@@ -178,7 +178,7 @@ def _psd(config, omega, det_tm, det_te, g_a, g_b, inv, inv_ref, noise):
 
 def psd(omega, config: SystemConfig, noise: NoiseParams | None = None):
     """Output power spectral density: incoherent channel sum of |transfer|^2 times unit_psd (a float at one omega)."""
-    omega = float(omega) if np.ndim(omega) == 0 else np.asarray(omega, dtype=float)
+    omega = _frequency(omega, grid=True)
     g_a, g_b, inv, inv_ref = _pump_frame(config, *_drives(config), omega)
     out = _psd(config, omega, config.drive_tm.detuning, config.drive_te.detuning, complex(g_a), complex(g_b),
                inv, inv_ref, noise or NoiseParams())

@@ -23,20 +23,32 @@ def build_config(omega_m=8.5e8, omega_r=1.15e9, gamma_m=2e7, gamma_r=2e7,
     )
 
 
+# physically tame parameter ranges (Hz) for property tests, in build_config's keywords
+RANGES = {
+    "omega_m": (5e8, 1.5e9), "omega_r": (5e8, 1.5e9),
+    "gamma_m": (5e6, 5e7), "gamma_r": (5e6, 5e7),
+    "kappa_tm": (1e7, 4e7), "kappa_te": (1e7, 4e7),
+    "strength_tm": (1e11, 2e12), "strength_te": (1e11, 2e12),
+    "delta_tm": (-5e7, 5e7), "delta_te": (-5e7, 5e7),
+}
+
+
 def random_config(rng):
     """Randomized but physically tame parameter draw for property tests."""
-    return build_config(
-        omega_m=rng.uniform(5e8, 1.5e9),
-        omega_r=rng.uniform(5e8, 1.5e9),
-        gamma_m=rng.uniform(5e6, 5e7),
-        gamma_r=rng.uniform(5e6, 5e7),
-        kappa_tm=rng.uniform(1e7, 4e7),
-        kappa_te=rng.uniform(1e7, 4e7),
-        strength_tm=rng.uniform(1e11, 2e12),
-        strength_te=rng.uniform(1e11, 2e12),
-        delta_tm=rng.uniform(-5e7, 5e7),
-        delta_te=rng.uniform(-5e7, 5e7),
-    )
+    return build_config(**{key: rng.uniform(lo, hi) for key, (lo, hi) in RANGES.items()})
+
+
+def numpy_config(rng):
+    """A config built from numpy scalars, and its twin built from the same values as Python floats.
+
+    The numpy side is built the way a numpy caller (and perfbench's point-queries
+    workload) builds one: each value is an element of a drawn float64 array,
+    except gamma_m, an np.float32, and strength_te, an np.int64.
+    """
+    draws = {key: rng.uniform(lo, hi, 1)[0] for key, (lo, hi) in RANGES.items()}
+    draws["gamma_m"] = np.float32(draws["gamma_m"])
+    draws["strength_te"] = np.int64(draws["strength_te"])
+    return build_config(**draws), build_config(**{key: float(value) for key, value in draws.items()})
 
 
 @pytest.fixture

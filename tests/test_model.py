@@ -11,7 +11,8 @@ from magnomech.model import (
     susceptibility,
 )
 
-from conftest import build_config
+import magnomech as mm
+from conftest import build_config, numpy_config
 
 # resonant drive at critical coupling: strength * sqrt(2*(kappa/2)) / kappa
 COUPLING_ORACLE = 2.2360679774997897e8
@@ -75,6 +76,45 @@ def test_mode_validation_names_field():
         OscillatorMode("magnon", 1e9, 2e7, gamma_ext=3e7)  # ext above total
     with pytest.raises(ConfigError):
         OscillatorMode("laser", 1e9, 2e7)
+
+
+def test_non_number_field_names_the_field():
+    with pytest.raises(ConfigError, match="'OscillatorMode.omega' must be a finite number, got 'abc'"):
+        OscillatorMode("magnon", "abc", 1e7)
+    with pytest.raises(ConfigError, match="'PumpDrive.detuning' must be a finite number, got None"):
+        PumpDrive("tm_photon", None, 1e10)
+    with pytest.raises(ConfigError, match="'PumpDrive.effective_strength' must be a finite number, got inf"):
+        PumpDrive("tm_photon", 0.0, np.inf)
+
+
+def test_numpy_built_config_holds_python_floats(rng):
+    for _ in range(20):
+        built, twin = numpy_config(rng)
+        assert built == twin
+        tree = built.to_dict()
+        for owner, fields in (*tree["modes"].items(), *tree["drives"].items()):
+            for name, value in fields.items():
+                assert type(value) is float, (owner, name, type(value))
+
+
+def _point_values(cfg, omega, p_in, delta):
+    g = mm.effective_couplings(cfg)
+    w_m, w_r = cfg.magnon.omega, cfg.phonon.omega
+    h = mm.hamiltonian_on_plane(cfg, p_in, delta)
+    pair = mm.eigenpairs(h)
+    return ((g.g_a, g.g_b), mm.sigma_rr(w_r, cfg), mm.sigma_mm(w_m, cfg), mm.sigma_mr(w_m, cfg),
+            mm.sigma_rm(w_m, cfg), mm.psd(omega, cfg), mm.linear_system_response(omega, cfg),
+            mm.closed_form_response(omega, cfg), h.tolist(), pair.lambda_plus, pair.lambda_minus,
+            pair.v_plus.tolist(), pair.v_minus.tolist())
+
+
+def test_point_functions_on_numpy_built_config_equal_float_twin_bit_for_bit(rng):
+    """Every point function gives the same bits for a numpy-built config as for its float-built twin."""
+    for _ in range(50):
+        built, twin = numpy_config(rng)
+        args = rng.uniform(0.4e9, 2.0e9), rng.uniform(5e10, 1.5e12), rng.uniform(-6e7, 1e7)
+        # repr is exact for floats and tells -0.0 from 0.0
+        assert repr(_point_values(built, *args)) == repr(_point_values(twin, *args))
 
 
 def test_drive_validation():

@@ -13,7 +13,7 @@ from magnomech.spectrum import (
     psd_map,
 )
 
-from conftest import build_config, random_config
+from conftest import build_config, numpy_config, random_config
 
 
 def worst_channel_error(cfg, omega):
@@ -34,6 +34,16 @@ def test_closed_form_matches_direct_solve(rng):
         w = rng.uniform(0.3e9, 2.2e9)
         worst = max(worst, worst_channel_error(cfg, w))
     assert worst < 1e-10
+
+
+def test_closed_form_matches_direct_solve_on_numpy_built_configs(rng):
+    """The scalar elimination against the 6x6 solve, relative to the largest channel."""
+    for _ in range(200):
+        cfg, _ = numpy_config(rng)
+        w = rng.uniform(0.3e9, 2.2e9, 1)[0]
+        direct, closed = linear_system_response(w, cfg), closed_form_response(w, cfg)
+        scale = max(map(abs, direct.values()))
+        assert max(abs(closed[ch] - value) for ch, value in direct.items()) <= 1e-12 * scale
 
 
 def test_closed_form_matches_at_negative_and_zero_adjacent_frequencies(rng):
@@ -99,8 +109,27 @@ def test_noise_params_validation():
 
 def test_linear_response_single_frequency_only():
     cfg = build_config()
-    with pytest.raises(ConfigError):
-        linear_system_response(np.array([1e9, 2e9]), cfg)
+    for point in (linear_system_response, closed_form_response):
+        with pytest.raises(ConfigError, match="'omega' must be a finite number"):
+            point(np.array([1e9, 2e9]), cfg)
+
+
+@pytest.mark.parametrize("point", [closed_form_response, linear_system_response, psd])
+@pytest.mark.parametrize("omega", [np.nan, np.inf, -np.inf, "1 GHz", None])
+def test_bad_frequency_is_refused_naming_omega(point, omega):
+    # one refusal for every point function, before any arithmetic can warn or fail
+    with pytest.raises(ConfigError, match="'omega' must be a finite number"):
+        point(omega, build_config())
+
+
+def test_psd_accepts_finite_arrays_only():
+    cfg = build_config()
+    grid = np.array([0.9e9, 1.0e9])
+    assert np.array_equal(psd(grid, cfg), [psd(w, cfg) for w in grid])
+    assert psd(np.float64(1e9), cfg) == psd(1e9, cfg)
+    for bad in (np.array([1e9, np.nan]), ["1e9", "GHz"]):
+        with pytest.raises(ConfigError, match="'omega' must be a finite number"):
+            psd(bad, cfg)
 
 
 def test_psd_map_ordering_and_sweep_axis():
@@ -122,7 +151,8 @@ def test_psd_map_cells_equal_points_bit_for_bit(rng):
     """A sampled map cell is, bit for bit, the point psd with the swept pump moved to its detuning."""
     fig4c = get_preset("fig4c")
     cases = ((fig4c.config, fig4c.run_params["omega_grid"], fig4c.run_params["detuning_grid"], "TE"),
-             (random_config(rng), [0.4e9, 2.0e9, 300], [-5e7, 5e7, 200], "TM"))
+             (random_config(rng), [0.4e9, 2.0e9, 300], [-5e7, 5e7, 200], "TM"),
+             (numpy_config(rng)[0], [0.4e9, 2.0e9, 300], [-5e7, 5e7, 200], "TE"))
     for cfg, (w_lo, w_hi, n_w), (d_lo, d_hi, n_d), swept in cases:
         omega, dets = np.linspace(w_lo, w_hi, n_w), np.linspace(d_lo, d_hi, n_d)
         grid = psd_map(cfg, omega, dets, swept=swept)
