@@ -53,7 +53,6 @@ from .self_energy import (
     sweep_self_energy,
 )
 from .spectrum import (
-    NoiseParams,
     closed_form_response,
     linear_system_response,
     psd,
@@ -69,7 +68,6 @@ __all__ = [
     "EigenPair",
     "EpLocation",
     "LoopSpec",
-    "NoiseParams",
     "NumericsError",
     "OscillatorMode",
     "Preset",

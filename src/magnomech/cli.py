@@ -36,13 +36,12 @@ CONFIG_PREFIXES = ("tm_photon.", "te_photon.", "magnon.", "phonon.", "drive_tm."
 RUN_KEYS = {
     "coupling": set(),
     "self-energy": {"which", "diagonal", "tm_grid", "te_grid", "parts"},
-    "spectrum": {"swept", "omega_grid", "detuning_grid", "noise.unit_psd", "noise.channels"},
-    "surface": {"p_grid", "delta_grid", "region", "seeds_per_axis", "tie", "reference_frequency",
-                "near_ep_rel"},
-    "find-ep": {"region", "seeds_per_axis", "tie", "gap_rtol"},
+    "spectrum": {"swept", "omega_grid", "detuning_grid", "noise.channels"},
+    "surface": {"p_grid", "delta_grid", "region", "seeds_per_axis", "tie"},
+    "find-ep": {"region", "seeds_per_axis", "tie"},
     "encircle": {"loop.center_p", "loop.center_delta", "loop.radius_units", "loop.unit_p",
                  "loop.unit_delta", "loop.direction", "loop.period", "loop.start_phase",
-                 "loop.samples", "tie", "align_shift_fraction", "slope_threshold", "rtol"},
+                 "loop.samples", "tie", "rtol"},
 }
 
 # fallback preset per command when the user names none; grids trimmed for speed
@@ -111,11 +110,12 @@ def load_config(path, overrides=None, base_config=None, command=None, run_params
 
     The file holds {"config": {...}, "run": {...}}, either part optional;
     a bare config mapping (with a "modes" key) is also accepted. Overrides
-    are KEY=VALUE strings addressing documented keys; unknown keys are
-    rejected with the offending name.
+    are KEY=VALUE strings addressing documented keys. The file's run keys
+    and --set's pass one check: an unknown key is rejected with its name.
     """
     config_dict = base_config.to_dict() if base_config is not None else None
     run_params = copy.deepcopy(run_params or {})
+    run_items = []  # (key, value), the file's first so that --set overrides it
     if path is not None:
         try:
             with open(path) as fh:
@@ -132,11 +132,12 @@ def load_config(path, overrides=None, base_config=None, command=None, run_params
                 raise ConfigError(f"unknown top-level config-file keys: {sorted(unknown)}")
             if "config" in loaded:
                 config_dict = loaded["config"]
-            for key, value in (loaded.get("run") or {}).items():
-                _set_nested(run_params, key, value)
+            run_section = loaded.get("run") or {}
+            if not isinstance(run_section, dict):
+                raise ConfigError(f"config-file 'run' must map dotted run keys to values, got {run_section!r}")
+            run_items += run_section.items()
     if config_dict is None:
         raise ConfigError("no configuration available: pass --preset or --config")
-    allowed_runs = RUN_KEYS.get(command, set())
     for item in overrides or []:
         if "=" not in item:
             raise ConfigError(f"--set expects KEY=VALUE, got {item!r}")
@@ -152,10 +153,12 @@ def load_config(path, overrides=None, base_config=None, command=None, run_params
             except KeyError:
                 raise ConfigError(f"unknown config key {key!r}") from None
             config_dict[branch][name][field_name] = value
-        elif key in allowed_runs:
-            _set_nested(run_params, key, value)
         else:
-            raise ConfigError(f"unknown override key {key!r} for command {command!r}")
+            run_items.append((key, value))
+    for key, value in run_items:
+        if key not in RUN_KEYS.get(command, ()):
+            raise ConfigError(f"unknown run key {key!r} for command {command!r}")
+        _set_nested(run_params, key, value)
     return SystemConfig.from_dict(config_dict), run_params
 
 
@@ -190,12 +193,21 @@ def make_runspec(args) -> RunSpec:
                    out_stem=stem, formats=formats)
 
 
+def _count(key, value):
+    """A whole-number run value as an int; any other value raises ConfigError naming key."""
+    number = _number(key, value)
+    if number != int(number):
+        raise ConfigError(f"{key!r} must be a whole number, got {value!r}")
+    return int(number)
+
+
 def _linspace(triplet, name):
     try:
         lo, hi, n = triplet
-        lo, hi, n = float(lo), float(hi), int(n)
+        lo, hi = float(lo), float(hi)
     except (TypeError, ValueError) as exc:
         raise ConfigError(f"{name} must be a [lo, hi, count] triplet, got {triplet!r}") from exc
+    n = _count(f"{name} count", n)
     if n < 1:
         raise ConfigError(f"{name} count must be >= 1")
     return np.linspace(lo, hi, n)
@@ -271,23 +283,14 @@ def _run_self_energy(spec: RunSpec):
     return written
 
 
-def _noise_from_run(run):
-    noise_cfg = run.get("noise") or {}
-    kwargs = {}
-    if "unit_psd" in noise_cfg:
-        kwargs["unit_psd"] = _number("noise.unit_psd", noise_cfg["unit_psd"])
-    if "channels" in noise_cfg:
-        kwargs["channels"] = frozenset(_names(noise_cfg["channels"]))
-    return spectrum.NoiseParams(**kwargs)
-
-
 def _run_spectrum(spec: RunSpec):
     run = spec.run_params
     omega_grid = _linspace(run["omega_grid"], "omega_grid")
     detuning_grid = _linspace(run["detuning_grid"], "detuning_grid")
     swept = run.get("swept", "TE")
+    channels = (run.get("noise") or {}).get("channels")
     psd = spectrum.psd_map(spec.config, omega_grid, detuning_grid, swept=swept,
-                           noise=_noise_from_run(run))
+                           channels=spectrum.ALL_CHANNELS if channels is None else _names(channels))
     n = omega_grid.size
     table = {"omega": output.GridAxis(omega_grid, tile=detuning_grid.size),
              "detuning": output.GridAxis(detuning_grid, repeat=n), "psd": psd.ravel()}
@@ -314,8 +317,8 @@ def _region_from_run(run):
 def _ep_records(spec, region, tie):
     run = spec.run_params
     locations = ep.find_exceptional_points(
-        spec.config, region, seeds_per_axis=_number("seeds_per_axis", run.get("seeds_per_axis", 24), int),
-        gap_rtol=_number("gap_rtol", run.get("gap_rtol", 1e-6)), tie_tm_detuning=tie)
+        spec.config, region, seeds_per_axis=_count("seeds_per_axis", run.get("seeds_per_axis", 24)),
+        tie_tm_detuning=tie)
     return [loc.to_record() for loc in locations]
 
 
@@ -324,10 +327,8 @@ def _run_surface(spec: RunSpec):
     tie = _flag(run, "tie")
     p_grid = _linspace(run["p_grid"], "p_grid")
     delta_grid = _linspace(run["delta_grid"], "delta_grid")
-    ref = _number("reference_frequency", run.get("reference_frequency", 1e9))
-    surf = ep.riemann_surface(spec.config, p_grid, delta_grid,
-                              near_ep_rel=_number("near_ep_rel", run.get("near_ep_rel", 1e-3)),
-                              tie_tm_detuning=tie)
+    ref = (spec.config.magnon.omega + spec.config.phonon.omega) / 2  # the resonators' midpoint
+    surf = ep.riemann_surface(spec.config, p_grid, delta_grid, tie_tm_detuning=tie)
     records = _ep_records(spec, _region_from_run(run), tie)
     table = {"p_in": output.GridAxis(surf.p_grid, repeat=surf.delta_grid.size),
              "delta": output.GridAxis(surf.delta_grid, tile=surf.p_grid.size),
@@ -364,8 +365,8 @@ def _loop_from_run(run):
     if missing:
         raise ConfigError(f"encircle needs loop keys {sorted(missing)}")
 
-    def num(key, default=None, kind=float):
-        return _number(f"loop.{key}", loop_cfg.get(key, default), kind)
+    def num(key, default=None):
+        return _number(f"loop.{key}", loop_cfg.get(key, default))
 
     return enc.LoopSpec(
         center=(num("center_p"), num("center_delta")),
@@ -374,7 +375,7 @@ def _loop_from_run(run):
         direction=str(loop_cfg.get("direction", "ccw")),
         period=num("period", 10e-3),
         start_phase=num("start_phase", 0.0),
-        samples=num("samples", 512, int),
+        samples=_count("loop.samples", loop_cfg.get("samples", 512)),
     )
 
 
@@ -388,11 +389,9 @@ def _run_encircle(spec: RunSpec):
     loop = _loop_from_run(run)
     tie = _flag(run, "tie")
     rtol = _number("rtol", run.get("rtol", 1e-8))
-    shift = _number("align_shift_fraction", run.get("align_shift_fraction", 0.5))
-    slope = _number("slope_threshold", run.get("slope_threshold", 0.5))
     primary, reverse = enc.evolve_both_directions(loop, spec.config, rtol=rtol, tie_tm_detuning=tie)
-    report = enc.chirality_report(primary, reverse, align_shift=int(round(loop.samples * shift)),
-                                  slope_threshold=slope)
+    # opposite traversals of one loop line up half a period apart
+    report = enc.chirality_report(primary, reverse, align_shift=round(loop.samples / 2))
     written = []
     for traj, suffix in ((primary, ""), (reverse, "_reverse")):
         extra = {"direction": traj.loop.direction, "period": repr(float(traj.loop.period)),

@@ -27,11 +27,11 @@ import math
 import numpy as np
 
 from .errors import ConfigError, NumericsError
-from .ep import eigenpairs, hamiltonian_on_plane
+from .ep import GAP_RTOL, eigenpairs, hamiltonian_on_plane
 from .model import SystemConfig
 
 P_UNIT, DELTA_UNIT = 1e11, 1e6  # default loop units: drive strength, detuning
-GAP_RTOL = 1e-6  # start points closer than this to a degeneracy are rejected
+SLOPE_THRESHOLD = 0.5  # |d f_a / d theta| above which a sample counts toward an oscillation's duration
 _GAUSS = np.array([0.5 - np.sqrt(3) / 6, 0.5 + np.sqrt(3) / 6])  # Gauss points of a unit step
 _BLOCK_STEPS = 2 ** 15  # Magnus steps per batched operator build, bounding the temporaries
 _MAX_STEPS = 2 ** 22    # cap on the steps of one pass around the loop
@@ -308,7 +308,6 @@ class ChiralityReport:
     duration_first: float
     duration_second: float
     align_shift: int
-    slope_threshold: float
 
     def to_dict(self):
         return {
@@ -319,27 +318,29 @@ class ChiralityReport:
                 "second": {"amplitude": self.amplitude_second, "duration_phase": self.duration_second},
             },
             "align_shift": self.align_shift,
-            "slope_threshold": self.slope_threshold,
+            "slope_threshold": SLOPE_THRESHOLD,
         }
 
 
-def _oscillation_metrics(traj: Trajectory, slope_threshold):
+def _oscillation_metrics(traj: Trajectory):
     f_a = traj.fractions[:, 0]
     amplitude = float(f_a.max() - f_a.min())
     dtheta = 2 * np.pi / max(traj.theta.size - 1, 1)
     slope = np.abs(np.gradient(f_a, dtheta))
-    duration = float(np.count_nonzero(slope > slope_threshold) * dtheta)
+    duration = float(np.count_nonzero(slope > SLOPE_THRESHOLD) * dtheta)
     return amplitude, duration
 
 
 def chirality_report(traj_first: Trajectory, traj_second: Trajectory,
-                     align_shift: int = 0, slope_threshold: float = 0.5) -> ChiralityReport:
+                     align_shift: int = 0) -> ChiralityReport:
     """Compare two loop traversals (typically opposite directions).
 
     The second trajectory's fraction series may be re-indexed by
     align_shift samples before comparison (half the sample count realizes
     the half-period phase alignment between opposite traversals of the
-    same loop). With align_shift 0 and identical inputs every metric is 0.
+    same loop). An oscillation's duration is the phase over which
+    |d f_a / d theta| exceeds SLOPE_THRESHOLD. With align_shift 0 and
+    identical inputs every metric is 0.
     """
     if traj_first.fractions.shape != traj_second.fractions.shape:
         raise ConfigError("trajectories have mismatched sampling; re-run with equal sample counts")
@@ -349,12 +350,12 @@ def chirality_report(traj_first: Trajectory, traj_second: Trajectory,
     f_1 = traj_first.fractions[:, 0]
     f_2_raw = traj_second.fractions[:, 0]
     f_2 = np.roll(f_2_raw, int(align_shift))
-    amp_1, dur_1 = _oscillation_metrics(traj_first, slope_threshold)
-    amp_2, dur_2 = _oscillation_metrics(traj_second, slope_threshold)
+    amp_1, dur_1 = _oscillation_metrics(traj_first)
+    amp_2, dur_2 = _oscillation_metrics(traj_second)
     return ChiralityReport(
         final_fraction_difference=float(abs(f_1[-1] - f_2_raw[-1])),
         max_aligned_difference=float(np.max(np.abs(f_1 - f_2))),
         amplitude_first=amp_1, amplitude_second=amp_2,
         duration_first=dur_1, duration_second=dur_2,
-        align_shift=int(align_shift), slope_threshold=float(slope_threshold),
+        align_shift=int(align_shift),
     )

@@ -24,6 +24,10 @@ from .model import (SystemConfig, _abs, _checked_grid, _drives, _every, _finite,
                     _reciprocal)
 from .self_energy import _dressing, _mediated
 
+GAP_RTOL = 1e-6  # eigenvalue gap, relative to max(|mean eigenvalue|, 1), at or below which a pair is degenerate
+NEAR_EP_REL = 1e-3  # relative gap at or below which a surface cell is flagged near an EP
+MONODROMY_SAMPLES = 256  # loop points at which monodromy_swapped tracks the eigenvalue pair
+
 
 @dataclass(frozen=True)
 class EigenPair:
@@ -152,25 +156,22 @@ def eigenpairs(h) -> EigenPair:
                      v_plus=_eigvec(*entries, lam_p), v_minus=_eigvec(*entries, lam_m))
 
 
-def _pair_by_continuity(prev_pair, new_unordered):
-    a, b = new_unordered
-    p, q = prev_pair
-    direct = abs(a - p) + abs(b - q)
-    crossed = abs(b - p) + abs(a - q)
-    return (a, b) if direct <= crossed else (b, a)
+def _track(plus, minus, ref=None):
+    """Branches (first, second) of the eigenvalue pairs (plus, minus) stepped along axis 0, vectorized over the rest.
 
-
-def _by_real_part(a, b):
-    return (a, b) if a.real >= b.real else (b, a)
-
-
-def _track(ref, plus, minus):
-    """Match each (plus, minus) pair along a path to its predecessor, the first one to ref."""
-    tracked = []
-    for vals in zip(plus, minus):
-        ref = _pair_by_continuity(ref, vals)
-        tracked.append(ref)
-    return tracked
+    Each step takes the pairing whose summed complex displacement from the step before is smaller,
+    the direct one on a tie. Step 0 is matched to the pair ref, or without one puts the larger real
+    part first.
+    """
+    first, second = np.empty_like(plus), np.empty_like(minus)
+    for k, (a, b) in enumerate(zip(plus, minus)):
+        if ref is None:
+            swap = a.real < b.real
+        else:
+            swap = _abs(a - ref[0]) + _abs(b - ref[1]) > _abs(b - ref[0]) + _abs(a - ref[1])
+        ref = np.where(swap, b, a), np.where(swap, a, b)
+        first[k], second[k] = ref
+    return first, second
 
 
 @dataclass(frozen=True)
@@ -183,28 +184,24 @@ class SurfaceResult:
 
 
 def riemann_surface(config_template: SystemConfig, p_grid, delta_grid,
-                    near_ep_rel: float = 1e-3, tie_tm_detuning: bool = False) -> SurfaceResult:
+                    tie_tm_detuning: bool = False) -> SurfaceResult:
     """Branch-tracked eigenvalue surfaces over the (p_in, delta) plane.
 
-    Tracking runs row-major: each cell's pair is matched to the previous
-    cell in the row (first column matches the row above) by minimizing the
-    summed complex displacement. Cells whose eigenvalue gap falls under
-    near_ep_rel times the mean eigenvalue magnitude are flagged; branch
-    assignment is ambiguous there.
+    Each cell's pair is matched to the previous cell in its row, and the
+    first column to the row above, by minimizing the summed complex
+    displacement: the first column is tracked down the rows, then every row
+    along delta at once. Cells whose eigenvalue gap falls under NEAR_EP_REL
+    times the mean eigenvalue magnitude are flagged; branch assignment is
+    ambiguous there.
     """
     p_grid = _checked_grid("p_grid", p_grid, increasing=True)
     delta_grid = _checked_grid("delta_grid", delta_grid, increasing=True)
     h = hamiltonian_on_plane(config_template, p_grid[:, None], delta_grid[None, :], tie_tm_detuning)
-    plus, minus = (lam.tolist() for lam in eigenvalues(h))
-    ref = _by_real_part(plus[0][0], minus[0][0])
-    rows = []
-    for row_plus, row_minus in zip(plus, minus):
-        rows.append(_track(ref, row_plus, row_minus))
-        ref = rows[-1][0]
-    tracked = np.array(rows, dtype=complex)
-    lam1, lam2 = tracked[..., 0], tracked[..., 1]
+    plus, minus = eigenvalues(h)
+    column = _track(plus[:, 0], minus[:, 0])
+    lam1, lam2 = (lam.T for lam in _track(plus.T, minus.T, column))
     scale = np.maximum(_abs(lam1 + lam2) / 2, 1.0)
-    near = _abs(lam1 - lam2) <= near_ep_rel * scale
+    near = _abs(lam1 - lam2) <= NEAR_EP_REL * scale
     return SurfaceResult(p_grid=p_grid, delta_grid=delta_grid, lambda1=lam1, lambda2=lam2, near_ep=near)
 
 
@@ -224,7 +221,7 @@ def _bisect(f, lo, hi, f_lo):
 
 
 def find_exceptional_points(config_template: SystemConfig, region, seeds_per_axis: int = 24,
-                            gap_rtol: float = 1e-6, tie_tm_detuning: bool = False):
+                            tie_tm_detuning: bool = False):
     """Locate discriminant zeros inside a rectangular (p_in, delta) region.
 
     On the plane each pump-induced entry of the reduced matrix is p_in**2 times a function of
@@ -232,16 +229,14 @@ def find_exceptional_points(config_template: SystemConfig, region, seeds_per_axi
     with d0 = h00 - h11 undriven, m = (h(p_hi) - h(0)) / p_hi**2 and d1 = m00 - m11. An EP is a
     delta where one root s is real, so that F = Im s+ * Im s- changes sign. F is sampled at
     seeds_per_axis detunings, each sign change is bisected to float adjacency, and p_in = sqrt(Re s).
-    Each EP must lie in the region and pass the eigenvalue-gap acceptance bound. An empty list is
-    a valid outcome.
+    Each EP must lie in the region and have an eigenvalue gap of at most GAP_RTOL relative to
+    max(|mean eigenvalue|, 1). An empty list is a valid outcome.
     """
     (p_lo, p_hi), (d_lo, d_hi) = region
     if not (0 <= p_lo < p_hi and d_lo < d_hi):
         raise ConfigError("EP search region must be a non-degenerate rectangle at drive strengths >= 0")
     if seeds_per_axis < 8:
         raise ConfigError("seeds_per_axis must be at least 8")
-    if not 0 <= gap_rtol < math.inf:
-        raise ConfigError(f"gap_rtol must be finite and >= 0, got {gap_rtol!r}")
     bare = hamiltonian_on_plane(config_template, 0.0, d_lo, tie_tm_detuning)  # undriven: diagonal at every delta
     d0 = bare[0, 0] - bare[1, 1]
     if d0 == 0:
@@ -274,7 +269,7 @@ def find_exceptional_points(config_template: SystemConfig, region, seeds_per_axi
         pair = eigenpairs(h)
         lam_bar = (pair.lambda_plus + pair.lambda_minus) / 2
         gap = abs(pair.lambda_plus - pair.lambda_minus)
-        if gap > gap_rtol * max(abs(lam_bar), 1.0):
+        if gap > GAP_RTOL * max(abs(lam_bar), 1.0):
             continue
         found.append(EpLocation(p_in=p, delta=float(d), residual=abs(discriminant(h)),
                                 lambda_value=complex(lam_bar), gap=float(gap)))
@@ -283,20 +278,17 @@ def find_exceptional_points(config_template: SystemConfig, region, seeds_per_axi
 
 
 def monodromy_swapped(config_template: SystemConfig, center, radius_p, radius_delta,
-                      samples: int = 256, tie_tm_detuning: bool = False) -> bool:
-    """Continuity-track the eigenvalue pair once around a closed parameter loop.
+                      tie_tm_detuning: bool = False) -> bool:
+    """Continuity-track the eigenvalue pair once around a closed parameter loop of MONODROMY_SAMPLES points.
 
     Returns True when one circuit exchanges the two branches (square-root
     branch-point behavior), False when each returns to itself.
     """
-    if samples < 16:
-        raise ConfigError("monodromy loop needs at least 16 samples")
-    thetas = np.linspace(0.0, 2 * np.pi, samples, endpoint=True)
+    thetas = np.linspace(0.0, 2 * np.pi, MONODROMY_SAMPLES)
     p_c, d_c = center
     h = hamiltonian_on_plane(config_template, p_c + radius_p * np.cos(thetas),
                              d_c + radius_delta * np.sin(thetas), tie_tm_detuning)
-    plus, minus = (lam.tolist() for lam in eigenvalues(h))
-    start = _by_real_part(plus[0], minus[0])
-    current = _track(start, plus, minus)[-1]
-    # after a closed loop the pair either returns or exchanges: matching it to the start swaps it
-    return _pair_by_continuity(start, current) != current
+    plus, minus = eigenvalues(h)
+    # one step more, back to the start pair: after an exchanging circuit it arrives swapped
+    first, _ = _track(np.append(plus, plus[0]), np.append(minus, minus[0]))
+    return bool(first[-1] != first[0])

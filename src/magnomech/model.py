@@ -39,6 +39,12 @@ def _number(key, value, kind=float):
     raise ConfigError(f"{key!r} must be a finite number, got {value!r}")
 
 
+def _frequency(omega, grid=False):
+    """omega as a finite Python float, or with grid also as a finite float array; else ConfigError naming omega."""
+    array = grid and not isinstance(omega, float) and np.ndim(omega) > 0
+    return _number("omega", omega, (lambda w: np.asarray(w, dtype=float)) if array else float)
+
+
 @dataclass(frozen=True)
 class OscillatorMode:
     """One resonant degree of freedom: label, resonance, total and external damping."""

@@ -138,7 +138,6 @@ _FIG5_RUN = {
     "delta_grid": [-6e7, 1e7, 120],
     "seeds_per_axis": 24,
     "tie": False,
-    "reference_frequency": 1e9,
 }
 
 # --- encircling presets --------------------------------------------------
@@ -155,7 +154,7 @@ def _loop_preset(name, center_delta, direction, start_phase):
     }
     return Preset(
         name=name, command="encircle", config=_EP_CONFIG,
-        run_params={"loop": loop, "tie": False, "align_shift_fraction": 0.5, "slope_threshold": 0.5},
+        run_params={"loop": loop, "tie": False},
         citations=_EP_CITATIONS + (
             Citation("run.loop.center_p", 0.87e12, "loop centered at drive 0.87 THz"),
             Citation("run.loop.center_delta", center_delta,

@@ -11,7 +11,7 @@ from __future__ import annotations
 import numpy as np
 
 from .errors import ConfigError
-from .model import SystemConfig, _abs, _checked_grid, _drives, _mul, _pump_frame, _reciprocal
+from .model import SystemConfig, _abs, _checked_grid, _drives, _frequency, _mul, _pump_frame, _reciprocal
 
 
 def _mediated(left, right, chi):
@@ -33,8 +33,10 @@ def _dressing(which, g_a, g_b, chi, chi_ref):
 
 
 def _sigma(which, config, omega, strength_tm, strength_te, det_tm, det_te):
-    # one dressing term over broadcast frequency and drive axes: the point functions and the sweep
-    g_a, g_b, inv, inv_ref = _pump_frame(config, strength_tm, strength_te, det_tm, det_te, np.asarray(omega))
+    # one dressing term over broadcast frequency and drive axes: the point functions and the sweep;
+    # a frequency that is not finite is refused naming omega, as by every point function
+    omega = np.asarray(_frequency(omega, grid=True))
+    g_a, g_b, inv, inv_ref = _pump_frame(config, strength_tm, strength_te, det_tm, det_te, omega)
     out = _dressing(which, g_a, g_b, _reciprocal(inv), _reciprocal(inv_ref) if which == "rr" else None)
     return complex(out) if np.ndim(out) == 0 else out
 

@@ -11,21 +11,20 @@ Three computation routes for the same transfer coefficients:
   magnetic sectors down to a scalar loop equation for b[w], run in Python
   scalars; it agrees with the direct solve to numerical precision.
 
-The PSD is the channel-incoherent sum of squared transfer magnitudes
-times a flat unit noise level: thermal drives on different modes do not
-interfere, and the flat level stands in for a slowly varying thermal
-occupation over the narrow band of interest.
+The PSD is the channel-incoherent sum of squared transfer magnitudes, per
+unit noise level: thermal drives on different modes do not interfere, and
+one flat level stands in for a slowly varying thermal occupation over the
+narrow band of interest, so it only scales the whole map.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
 import math
 
 import numpy as np
 
 from .errors import ConfigError, NumericsError
-from .model import (SystemConfig, _abs, _checked_grid, _drives, _every, _finite, _mul, _number, _pump_frame,
+from .model import (SystemConfig, _abs, _checked_grid, _drives, _every, _finite, _frequency, _mul, _pump_frame,
                     _reciprocal, effective_couplings)
 
 # noise channels: thermal force on phonon/magnon at +w, conjugate partner at -w
@@ -37,23 +36,12 @@ _COND_LIMIT = 1e13  # condition number above this flags parameter pathology
 _BLOCK_CELLS = 4096  # grid cells per psd_map array pass: bounds its temporaries, never its values
 
 
-@dataclass(frozen=True)
-class NoiseParams:
-    unit_psd: float = 1.0
-    channels: frozenset = field(default_factory=lambda: ALL_CHANNELS)
-
-    def __post_init__(self):
-        if not self.unit_psd >= 0:
-            raise ConfigError(f"NoiseParams.unit_psd must be >= 0, got {self.unit_psd!r}")
-        bad = set(self.channels) - ALL_CHANNELS
-        if bad:
-            raise ConfigError(f"unknown noise channels: {sorted(bad)}")
-
-
-def _frequency(omega, grid=False):
-    """omega as a finite Python float, or with grid also as a finite float array; else ConfigError naming omega."""
-    array = grid and not isinstance(omega, float) and np.ndim(omega) > 0
-    return _number("omega", omega, (lambda w: np.asarray(w, dtype=float)) if array else float)
+def _channels(channels):
+    """The enabled noise channels as a frozenset; a name outside ALL_CHANNELS raises ConfigError."""
+    channels = frozenset(channels)
+    if not channels <= ALL_CHANNELS:
+        raise ConfigError(f"unknown noise channels: {sorted(channels - ALL_CHANNELS)}")
+    return channels
 
 
 def _assemble(config, omega):
@@ -75,20 +63,20 @@ def _assemble(config, omega):
     return A, rhs
 
 
-def linear_system_response(omega, config: SystemConfig, noise: NoiseParams | None = None):
+def linear_system_response(omega, config: SystemConfig, channels=ALL_CHANNELS):
     """Direct-solve transfer coefficients into b[w] for each enabled unit noise drive, at one finite omega.
 
-    Returns {channel: complex coefficient}. Linear in the drives by
-    construction; raises NumericsError when the system is near-singular.
+    Returns {channel: complex coefficient} over channels. Linear in the drives
+    by construction; raises NumericsError when the system is near-singular.
     """
-    noise = noise or NoiseParams()
+    channels = _channels(channels)
     A, rhs = _assemble(config, _frequency(omega))
     s = np.linalg.svd(A, compute_uv=False).tolist()  # the condition number is s[0] / s[-1]
     if not s[0] <= _COND_LIMIT * s[-1]:  # false also where either is nan
         cond = s[0] / s[-1] if s[-1] else math.inf
         raise NumericsError(f"frequency-domain system near-singular (condition number {cond:.3e})")
     coeffs = np.linalg.solve(A, rhs)[0].tolist()
-    return {ch: coeffs[k] for k, ch in enumerate(_CHANNEL_ORDER) if ch in noise.channels}
+    return {ch: coeffs[k] for k, ch in enumerate(_CHANNEL_ORDER) if ch in channels}
 
 
 def _chi(gamma, omega_res, omega):
@@ -139,7 +127,7 @@ def _abs2(z):
     return z.real * z.real + z.imag * z.imag
 
 
-def _psd(config, omega, det_tm, det_te, g_a, g_b, inv, inv_ref, noise):
+def _psd(config, omega, det_tm, det_te, g_a, g_b, inv, inv_ref, channels):
     """PSD over broadcast omega and detunings by Cramer's rule on M, the (b, b~) Schur complement of A.
 
     With D = chi_r - chi_r~: M00 = inv + |g_b|^2 D + g_a^2 chi_m, M01 = g_b^2 D, M10 = -conj(g_b)^2 D and
@@ -169,24 +157,24 @@ def _psd(config, omega, det_tm, det_te, g_a, g_b, inv, inv_ref, noise):
     r_num = _abs2(_mul(g_b, m11) + _mul(g_b_ref, m01))
     parts = (gr * _abs2(chi_r) * r_num, gr * _abs2(chi_r_ref) * r_num,
              gm * _abs2(_mul(g_a, chi_m)) * _abs2(m11), gm * _abs2(_mul(g_a_ref, chi_m_ref)) * _abs2(m01))
-    power = noise.unit_psd * (sum(p for p, ch in zip(parts, _CHANNEL_ORDER) if ch in noise.channels)
-                              / _abs2(det))
+    power = sum(p for p, ch in zip(parts, _CHANNEL_ORDER) if ch in channels) / _abs2(det)
     if not _finite(power):
         raise NumericsError("PSD evaluated non-finite")
     return power
 
 
-def psd(omega, config: SystemConfig, noise: NoiseParams | None = None):
-    """Output power spectral density: incoherent channel sum of |transfer|^2 times unit_psd (a float at one omega)."""
+def psd(omega, config: SystemConfig, channels=ALL_CHANNELS):
+    """Output PSD per unit noise level: the sum of |transfer|^2 over channels (a float at one omega)."""
+    channels = _channels(channels)
     omega = _frequency(omega, grid=True)
     g_a, g_b, inv, inv_ref = _pump_frame(config, *_drives(config), omega)
     out = _psd(config, omega, config.drive_tm.detuning, config.drive_te.detuning, complex(g_a), complex(g_b),
-               inv, inv_ref, noise or NoiseParams())
+               inv, inv_ref, channels)
     return out if isinstance(out, np.ndarray) else float(out)
 
 
 def psd_map(config_template: SystemConfig, omega_grid, detuning_grid, swept: str = "TE",
-            noise: NoiseParams | None = None):
+            channels=ALL_CHANNELS):
     """PSD over a (frequency, pump-detuning) grid, sweeping the TE or TM drive.
 
     Returns a float array of shape (n_detuning, n_omega): row k is, bit for
@@ -200,7 +188,7 @@ def psd_map(config_template: SystemConfig, omega_grid, detuning_grid, swept: str
         raise ConfigError(f"swept must be 'TE' or 'TM', got {swept!r}")
     omega_grid = _checked_grid("omega_grid", omega_grid)
     detuning_grid = _checked_grid("detuning_grid", detuning_grid)
-    noise = noise or NoiseParams()
+    channels = _channels(channels)
     det_tm, det_te = config_template.drive_tm.detuning, config_template.drive_te.detuning
 
     def detunings(det):  # (TM, TE) with the swept pump at det
@@ -215,5 +203,5 @@ def psd_map(config_template: SystemConfig, omega_grid, detuning_grid, swept: str
         block = slice(lo, lo + rows)
         dets = detunings(detuning_grid[block, None])
         inv = _pump_frame(config_template, *strengths, *dets, omega_grid)[2:]  # couplings come from g
-        out[block] = _psd(config_template, omega_grid, *dets, g[block, :1], g[block, 1:], *inv, noise)
+        out[block] = _psd(config_template, omega_grid, *dets, g[block, :1], g[block, 1:], *inv, channels)
     return out

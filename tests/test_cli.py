@@ -224,7 +224,7 @@ def test_bad_override_exits_2(tmp_path, capsys):
     err = json.loads(capsys.readouterr().err)
     assert err["error"]["type"] == "config"
     assert "nonsense" in err["error"]["message"]
-    # convention names and eval_omega are not keys, a non-positive rtol is refused,
+    # removed and misspelt run keys are unknown, a non-positive rtol is refused,
     # and a value that is not a number is a config error naming its key
     for command, preset, override, key in (
             ("encircle", "fig6a", "carrier_offset=1e9", "carrier_offset"),
@@ -233,7 +233,7 @@ def test_bad_override_exits_2(tmp_path, capsys):
             ("coupling", "fig5", "sigma_eval_frequency=at_omega_m", "sigma_eval_frequency"),
             ("self-energy", "fig2a", "eval_omega=1e9", "eval_omega"),
             ("coupling", "fig5", "drive_tm.detuning=abc", "drive_tm.detuning"),
-            ("spectrum", "fig4a", "noise.unit_psd=abc", "noise.unit_psd"),
+            ("spectrum", "fig4a", "noise.unit_psd=abc", "noise.unit_psd"),  # unknown: the PSD is per unit level
             ("surface", "fig5", "seeds_per_axis=abc", "seeds_per_axis"),
             ("encircle", "fig6a", "loop.samples=abc", "loop.samples"),
             # a boolean key takes only JSON true or false, not any text bool() reads as true
@@ -242,22 +242,53 @@ def test_bad_override_exits_2(tmp_path, capsys):
             # non-finite numbers are config errors, found before any evolve runs
             ("encircle", "fig6a", "loop.samples=Infinity", "loop.samples"),
             ("find-ep", "fig5", "seeds_per_axis=Infinity", "seeds_per_axis"),
-            ("encircle", "fig6a", "align_shift_fraction=NaN", "align_shift_fraction"),
-            # the EP acceptance bound must be finite and >= 0
+            ("encircle", "fig6a", "align_shift_fraction=NaN", "align_shift_fraction"),  # unknown: half the samples
+            # unknown: the EP acceptance bound is the constant ep.GAP_RTOL
             ("find-ep", "fig5", "gap_rtol=-1", "gap_rtol"),
             ("find-ep", "fig5", "gap_rtol=NaN", "gap_rtol"),
-            ("find-ep", "fig5", "gap_rtol=Infinity", "gap_rtol")):
+            ("find-ep", "fig5", "gap_rtol=Infinity", "gap_rtol"),
+            # a count must be a whole number, not truncated to one
+            ("find-ep", "fig5", "seeds_per_axis=8.9", "seeds_per_axis"),
+            ("encircle", "fig6a", "loop.samples=64.9", "loop.samples"),
+            ("spectrum", "fig4a", "omega_grid=[0, 1, 3.7]", "omega_grid"),
+            ("self-energy", "fig2c", "te_grid=[-1e8, 1e8, 2.5]", "te_grid")):
         assert cli.main([command, "--preset", preset, "--out", stem, "--set", override]) == 2
         err = json.loads(capsys.readouterr().err)
         assert err["error"]["type"] == "config"
         assert key in err["error"]["message"]
-    # the surface takes gap_rtol from a config file's run section
+    # a config file's run keys pass the same allowlist: gap_rtol is no surface key
     path = tmp_path / "run.json"
     path.write_text(json.dumps({"run": {"gap_rtol": -1}}))
     assert cli.main(["surface", "--preset", "fig5", "--config", str(path), "--out", stem]) == 2
     assert "gap_rtol" in json.loads(capsys.readouterr().err)["error"]["message"]
     path.unlink()
     assert not list(tmp_path.iterdir())  # each is refused before any artifact is written
+
+
+@pytest.mark.parametrize("command, preset, key, value", [
+    ("spectrum", "fig4a", "noise.unit_psd", 2.0),
+    ("surface", "fig5", "reference_frequency", 1e9),
+    ("surface", "fig5", "near_ep_rel", 1e-3),
+    ("surface", "fig5", "gap_rtol", 1e-6),
+    ("find-ep", "fig5", "gap_rtol", 1e-6),
+    ("encircle", "fig6a", "align_shift_fraction", 0.5),
+    ("encircle", "fig6a", "slope_threshold", 0.5),
+    ("spectrum", "fig4a", "omega_gird", [4e8, 2e9, 10]),  # misspelt keys too
+    ("encircle", "fig6a", "loop.sample", 64),
+])
+@pytest.mark.parametrize("source", ["set", "file"])
+def test_unknown_run_key_exits_2_from_set_or_file(tmp_path, capsys, command, preset, key, value, source):
+    stem = str(tmp_path / "never")
+    if source == "set":
+        extra = ["--set", f"{key}={json.dumps(value)}"]
+    else:
+        path = tmp_path / "run.json"
+        path.write_text(json.dumps({"run": {key: value}}))
+        extra = ["--config", str(path)]
+    assert cli.main([command, "--preset", preset, "--out", stem, "--format", "csv,json"] + extra) == 2
+    err = json.loads(capsys.readouterr().err)["error"]
+    assert err["type"] == "config" and repr(key) in err["message"]
+    assert [p.name for p in tmp_path.iterdir()] == ([] if source == "set" else ["run.json"])
 
 
 def test_cli_import_leaves_scipy_unloaded():
@@ -286,6 +317,9 @@ def test_unknown_config_file_key_exits_2(tmp_path, capsys):
     path.write_text(json.dumps({"config": get_preset("fig5").config.to_dict(), "extra": 1}))
     assert cli.main(["coupling", "--config", str(path)]) == 2
     assert "extra" in json.loads(capsys.readouterr().err)["error"]["message"]
+    path.write_text(json.dumps({"run": ["omega_grid"]}))  # a run section that is no mapping
+    assert cli.main(["spectrum", "--preset", "fig4a", "--config", str(path), "--out", str(tmp_path / "x")]) == 2
+    assert "'run' must map" in json.loads(capsys.readouterr().err)["error"]["message"]
 
 
 def test_unknown_preset_exits_2_and_lists_options(capsys):

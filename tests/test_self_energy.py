@@ -72,6 +72,14 @@ def test_sigma_vectorized_over_omega():
     assert vec[7] == pytest.approx(sigma_rr(grid[7], cfg), rel=1e-14)
 
 
+@pytest.mark.parametrize("sigma", [sigma_rr, sigma_mm, sigma_mr, sigma_rm])
+@pytest.mark.parametrize("omega", [np.nan, np.inf, -np.inf, "1 GHz", None, [1e9, np.nan]])
+def test_sigma_refuses_a_bad_frequency_naming_omega(sigma, omega):
+    # the same refusal as psd and the responses, not a silent nan
+    with pytest.raises(ConfigError, match="'omega' must be a finite number"):
+        sigma(omega, build_config(delta_te=-1e7))
+
+
 def test_sweep_cross_product_row_major():
     # every cell of every component equals the point function on the rebuilt config, TM the outer axis
     tm = np.linspace(-4e7, 3e7, 6)

@@ -6,7 +6,6 @@ from magnomech.errors import ConfigError, NumericsError
 from magnomech.presets import get_preset
 from magnomech.spectrum import (
     ALL_CHANNELS,
-    NoiseParams,
     closed_form_response,
     linear_system_response,
     psd,
@@ -64,47 +63,39 @@ def test_zero_drive_transfer_is_zero():
 def test_psd_nonnegative_and_channel_additive(rng):
     cfg = random_config(rng)
     grid = np.linspace(0.4e9, 2.0e9, 31)
-    total = psd(grid, cfg, NoiseParams())
+    total = psd(grid, cfg)
     assert np.all(total >= 0)
-    parts = sum(psd(grid, cfg, NoiseParams(channels=frozenset((ch,))))
-                for ch in ALL_CHANNELS)
+    parts = sum(psd(grid, cfg, {ch}) for ch in ALL_CHANNELS)
     assert np.allclose(parts, total, rtol=1e-12, atol=0)
 
 
-def direct_psd(omega, cfg, noise):
-    return noise.unit_psd * sum(abs(v) ** 2 for v in linear_system_response(omega, cfg, noise).values())
+def direct_psd(omega, cfg, channels=ALL_CHANNELS):
+    return sum(abs(v) ** 2 for v in linear_system_response(omega, cfg, channels).values())
 
 
 def test_psd_is_the_channel_sum_of_the_direct_solve(rng):
     """The (b, b~) elimination against the 6x6 oracle: each channel alone and all of them."""
-    masks = [NoiseParams(channels=frozenset((ch,))) for ch in sorted(ALL_CHANNELS)] + [NoiseParams()]
+    masks = [{ch} for ch in sorted(ALL_CHANNELS)] + [ALL_CHANNELS]
     for _ in range(200):
         cfg = random_config(rng)
         w = rng.uniform(0.3e9, 2.2e9)
-        for noise in masks:
-            assert psd(w, cfg, noise) == pytest.approx(direct_psd(w, cfg, noise), rel=1e-12, abs=0)
+        for channels in masks:
+            assert psd(w, cfg, channels) == pytest.approx(direct_psd(w, cfg, channels), rel=1e-12, abs=0)
     omega, dets = np.linspace(0.4e9, 2.0e9, 40), np.linspace(-5e7, 5e7, 30)
     for swept, key in (("TE", "te"), ("TM", "tm")):
         cfg = random_config(rng)
         grid = psd_map(cfg, omega, dets, swept=swept)
         for k, j in zip(rng.integers(0, dets.size, 40), rng.integers(0, omega.size, 40)):
-            want = direct_psd(omega[j], cfg.with_drive_detunings(**{key: dets[k]}), NoiseParams())
+            want = direct_psd(omega[j], cfg.with_drive_detunings(**{key: dets[k]}))
             assert grid[k, j] == pytest.approx(want, rel=1e-12, abs=0)
 
 
-def test_psd_unit_scaling():
+def test_unknown_noise_channel_is_refused():
     cfg = build_config()
-    grid = np.linspace(0.8e9, 1.2e9, 5)
-    one = psd(grid, cfg, NoiseParams(unit_psd=1.0))
-    three = psd(grid, cfg, NoiseParams(unit_psd=3.0))
-    assert np.allclose(three, 3 * one, rtol=1e-14)
-
-
-def test_noise_params_validation():
-    with pytest.raises(ConfigError):
-        NoiseParams(unit_psd=-1.0)
-    with pytest.raises(ConfigError):
-        NoiseParams(channels=frozenset(("r+", "q-")))
+    for call in (lambda ch: psd(1e9, cfg, ch), lambda ch: psd_map(cfg, [1e9], [0.0], channels=ch),
+                 lambda ch: linear_system_response(1e9, cfg, ch)):
+        with pytest.raises(ConfigError, match="unknown noise channels: \\['q-'\\]"):
+            call({"r+", "q-"})
 
 
 def test_linear_response_single_frequency_only():
