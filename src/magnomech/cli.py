@@ -35,13 +35,12 @@ CONFIG_PREFIXES = ("tm_photon.", "te_photon.", "magnon.", "phonon.", "drive_tm."
 # run-parameter allowlist per command; dotted keys address nested maps
 RUN_KEYS = {
     "coupling": set(),
-    "self-energy": {"which", "diagonal", "tm_grid", "te_grid", "parts"},
+    "self-energy": {"diagonal", "tm_grid", "te_grid", "parts"},
     "spectrum": {"swept", "omega_grid", "detuning_grid", "noise.channels"},
     "surface": {"p_grid", "delta_grid", "region", "seeds_per_axis", "tie"},
     "find-ep": {"region", "seeds_per_axis", "tie"},
-    "encircle": {"loop.center_p", "loop.center_delta", "loop.radius_units", "loop.unit_p",
-                 "loop.unit_delta", "loop.direction", "loop.period", "loop.start_phase",
-                 "loop.samples", "tie", "rtol"},
+    "encircle": {"loop.center_p", "loop.center_delta", "loop.radius_p", "loop.radius_delta",
+                 "loop.direction", "loop.period", "loop.start_phase", "loop.samples", "tie", "rtol"},
 }
 
 # fallback preset per command when the user names none; grids trimmed for speed
@@ -83,12 +82,8 @@ def build_parser():
 
 
 def _parse_value(raw: str):
-    if ":" in raw and raw.count(":") == 2 and "{" not in raw:
-        lo, hi, n = raw.split(":")
-        try:
-            return [float(lo), float(hi), int(n)]
-        except ValueError as exc:
-            raise ConfigError(f"bad grid triplet {raw!r}: {exc}") from exc
+    if raw.count(":") == 2 and "{" not in raw:  # lo:hi:n, checked where the grid is read
+        return [_parse_value(part) for part in raw.split(":")]
     try:
         return json.loads(raw)
     except json.JSONDecodeError:
@@ -204,10 +199,9 @@ def _count(key, value):
 def _linspace(triplet, name):
     try:
         lo, hi, n = triplet
-        lo, hi = float(lo), float(hi)
     except (TypeError, ValueError) as exc:
         raise ConfigError(f"{name} must be a [lo, hi, count] triplet, got {triplet!r}") from exc
-    n = _count(f"{name} count", n)
+    lo, hi, n = _number(f"{name} lo", lo), _number(f"{name} hi", hi), _count(f"{name} count", n)
     if n < 1:
         raise ConfigError(f"{name} count must be >= 1")
     return np.linspace(lo, hi, n)
@@ -264,10 +258,12 @@ def _run_coupling(spec: RunSpec):
 
 def _run_self_energy(spec: RunSpec):
     run = spec.run_params
-    tm_grid = _linspace(run.get("tm_grid", [-1e8, 1e8, 41]), "tm_grid")
-    te_grid = _linspace(run.get("te_grid", [-1e8, 1e8, 41]), "te_grid")
+    tm_grid = _linspace(run["tm_grid"], "tm_grid")
+    te_grid = _linspace(run["te_grid"], "te_grid")
     diagonal = _flag(run, "diagonal")
-    parts = _names(run["parts"]) if run.get("parts") else [run.get("which", "mm")]
+    parts = _names(run["parts"])
+    if not parts:
+        raise ConfigError("'parts' must name at least one self-energy component")
     if diagonal:
         axes = {"delta_tm": tm_grid, "delta_te": te_grid}
     else:
@@ -360,23 +356,16 @@ def _run_find_ep(spec: RunSpec):
 
 
 def _loop_from_run(run):
-    loop_cfg = run.get("loop") or {}
-    missing = {"center_p", "center_delta"} - set(loop_cfg)
-    if missing:
-        raise ConfigError(f"encircle needs loop keys {sorted(missing)}")
+    """The LoopSpec of the run's loop keys, each of which every encircle preset states."""
+    loop = run["loop"]
 
-    def num(key, default=None):
-        return _number(f"loop.{key}", loop_cfg.get(key, default))
+    def num(key):
+        return _number(f"loop.{key}", loop[key])
 
-    return enc.LoopSpec(
-        center=(num("center_p"), num("center_delta")),
-        radius_units=num("radius_units", 1.0),
-        unit_scale=(num("unit_p", 1e11), num("unit_delta", 1e6)),
-        direction=str(loop_cfg.get("direction", "ccw")),
-        period=num("period", 10e-3),
-        start_phase=num("start_phase", 0.0),
-        samples=_count("loop.samples", loop_cfg.get("samples", 512)),
-    )
+    return enc.LoopSpec(center=(num("center_p"), num("center_delta")),
+                        radius=(num("radius_p"), num("radius_delta")), direction=str(loop["direction"]),
+                        period=num("period"), start_phase=num("start_phase"),
+                        samples=_count("loop.samples", loop["samples"]))
 
 
 def _trajectory_table(traj):

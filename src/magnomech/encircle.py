@@ -27,10 +27,9 @@ import math
 import numpy as np
 
 from .errors import ConfigError, NumericsError
-from .ep import GAP_RTOL, eigenpairs, hamiltonian_on_plane
+from .ep import GAP_RTOL, _ellipse, eigenpairs, hamiltonian_on_plane
 from .model import SystemConfig
 
-P_UNIT, DELTA_UNIT = 1e11, 1e6  # default loop units: drive strength, detuning
 SLOPE_THRESHOLD = 0.5  # |d f_a / d theta| above which a sample counts toward an oscillation's duration
 _GAUSS = np.array([0.5 - np.sqrt(3) / 6, 0.5 + np.sqrt(3) / 6])  # Gauss points of a unit step
 _BLOCK_STEPS = 2 ** 15  # Magnus steps per batched operator build, bounding the temporaries
@@ -39,9 +38,10 @@ _MAX_STEPS = 2 ** 22    # cap on the steps of one pass around the loop
 
 @dataclass(frozen=True)
 class LoopSpec:
+    """Elliptic loop: center (p_in, delta) and semi-axes radius = (radius_p, radius_delta), in Hz-as-labeled."""
+
     center: tuple
-    radius_units: float = 1.0
-    unit_scale: tuple = (P_UNIT, DELTA_UNIT)
+    radius: tuple
     direction: str = "ccw"
     period: float = 10e-3
     start_phase: float = 0.0
@@ -54,9 +54,12 @@ class LoopSpec:
             raise ConfigError("LoopSpec.period must be positive")
         if self.samples < 64:
             raise ConfigError("LoopSpec.samples must be at least 64")
-        # radius 0 is allowed: a constant-parameter loop used for stationarity checks
-        if not self.radius_units >= 0:
-            raise ConfigError("LoopSpec.radius_units must be non-negative")
+        if np.shape(self.radius) != (2,):
+            raise ConfigError(f"LoopSpec.radius must be a (radius_p, radius_delta) pair, got {self.radius!r}")
+        # a semi-axis may be 0: radius (0, 0) is a constant-parameter loop used for stationarity checks
+        for key, semi_axis in zip(("loop.radius_p", "loop.radius_delta"), self.radius):
+            if not 0 <= semi_axis < math.inf:
+                raise ConfigError(f"LoopSpec.radius semi-axis {key} must be finite and >= 0, got {semi_axis!r}")
 
     @property
     def orientation(self):
@@ -86,11 +89,7 @@ def _theta_at(loop: LoopSpec, t):
 
 
 def _params_at(loop: LoopSpec, t):
-    th = _theta_at(loop, t)
-    p_c, d_c = loop.center
-    rho = loop.radius_units
-    return (p_c + rho * np.cos(th) * loop.unit_scale[0],
-            d_c + rho * np.sin(th) * loop.unit_scale[1])
+    return _ellipse(loop.center, loop.radius, _theta_at(loop, t))
 
 
 def parameters_at(loop: LoopSpec, t):

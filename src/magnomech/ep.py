@@ -277,17 +277,21 @@ def find_exceptional_points(config_template: SystemConfig, region, seeds_per_axi
     return found
 
 
-def monodromy_swapped(config_template: SystemConfig, center, radius_p, radius_delta,
-                      tie_tm_detuning: bool = False) -> bool:
-    """Continuity-track the eigenvalue pair once around a closed parameter loop of MONODROMY_SAMPLES points.
+def _ellipse(center, radius, theta):
+    """Point (p_in, delta) at angle theta on the loop with this center and (p_in, delta) semi-axes."""
+    (p_c, d_c), (r_p, r_d) = center, radius
+    return p_c + r_p * np.cos(theta), d_c + r_d * np.sin(theta)
 
-    Returns True when one circuit exchanges the two branches (square-root
-    branch-point behavior), False when each returns to itself.
+
+def monodromy_swapped(config_template: SystemConfig, center, radius, tie_tm_detuning: bool = False) -> bool:
+    """Continuity-track the eigenvalue pair once around the loop (center, radius) at MONODROMY_SAMPLES points.
+
+    radius is the (p_in, delta) pair of semi-axes, as in encircle.LoopSpec. Returns True when one
+    circuit exchanges the two branches (square-root branch-point behavior), False when each returns
+    to itself.
     """
     thetas = np.linspace(0.0, 2 * np.pi, MONODROMY_SAMPLES)
-    p_c, d_c = center
-    h = hamiltonian_on_plane(config_template, p_c + radius_p * np.cos(thetas),
-                             d_c + radius_delta * np.sin(thetas), tie_tm_detuning)
+    h = hamiltonian_on_plane(config_template, *_ellipse(center, radius, thetas), tie_tm_detuning)
     plus, minus = eigenvalues(h)
     # one step more, back to the start pair: after an exchanging circuit it arrives swapped
     first, _ = _track(np.append(plus, plus[0]), np.append(minus, minus[0]))

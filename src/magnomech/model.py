@@ -224,12 +224,12 @@ def _checked_grid(name, grid, increasing=False):
 def susceptibility(gamma, omega_res, omega):
     """Linear response 1/(gamma/2 - i(omega - omega_res)) of a damped mode.
 
-    Vectorized over omega and omega_res. Pole-free for any gamma > 0.
+    Vectorized over array omega or omega_res; scalars give a Python complex. Pole-free for any gamma > 0.
     """
     if not gamma > 0:
         raise ConfigError(f"susceptibility requires gamma > 0, got {gamma!r}")
-    out = _reciprocal(gamma / 2 - 1j * (np.asarray(omega) - omega_res))
-    return complex(out) if np.ndim(out) == 0 else out
+    z = gamma / 2 - 1j * (omega - omega_res)
+    return _reciprocal(z) if isinstance(z, np.ndarray) else 1.0 / complex(z)
 
 
 def _pump_coupling(mode: OscillatorMode, detuning, strength):

@@ -68,11 +68,11 @@ _SE_CITATIONS = (
 )
 
 
-def _se_preset(name, which, diagonal, n, extra_notes=""):
+def _se_preset(name, part, diagonal, n, extra_notes=""):
     grid = [-_SE_SPAN, _SE_SPAN, n]
     return Preset(
         name=name, command="self-energy", config=_SE_CONFIG,
-        run_params={"which": which, "diagonal": diagonal, "tm_grid": grid, "te_grid": grid},
+        run_params={"parts": [part], "diagonal": diagonal, "tm_grid": grid, "te_grid": grid},
         citations=_SE_CITATIONS + (
             Citation("run.tm_grid", grid, "detuning axis spans +-5 dampings"),
         ),
@@ -148,9 +148,8 @@ _LOOP_SAMPLES = 512
 
 def _loop_preset(name, center_delta, direction, start_phase):
     loop = {
-        "center_p": 0.87e12, "center_delta": center_delta, "radius_units": 1.0,
-        "unit_p": 1e11, "unit_delta": 1e6, "direction": direction,
-        "period": _LOOP_PERIOD, "start_phase": start_phase, "samples": _LOOP_SAMPLES,
+        "center_p": 0.87e12, "center_delta": center_delta, "radius_p": 1e11, "radius_delta": 1e6,
+        "direction": direction, "period": _LOOP_PERIOD, "start_phase": start_phase, "samples": _LOOP_SAMPLES,
     }
     return Preset(
         name=name, command="encircle", config=_EP_CONFIG,
@@ -160,8 +159,8 @@ def _loop_preset(name, center_delta, direction, start_phase):
             Citation("run.loop.center_delta", center_delta,
                      "detuning center -5.5 MHz keeps the degeneracy outside the loop"
                      if center_delta == -5.5e6 else "detuning center -4.5 MHz per the enclosing-loop setting"),
-            Citation("run.loop.unit_p", 1e11, "one loop unit on the drive axis is 0.1 THz"),
-            Citation("run.loop.unit_delta", 1e6, "one loop unit on the detuning axis is 1 MHz"),
+            Citation("run.loop.radius_p", 1e11, "loop semi-axis 0.1 THz along the drive axis"),
+            Citation("run.loop.radius_delta", 1e6, "loop semi-axis 1 MHz along the detuning axis"),
             Citation("run.loop.period", _LOOP_PERIOD, "desk-scale period 100 us (long-form 10 ms)"),
         ),
         notes="opposite-direction twin carries a half-turn start phase",

@@ -25,7 +25,7 @@ import numpy as np
 
 from .errors import ConfigError, NumericsError
 from .model import (SystemConfig, _abs, _checked_grid, _drives, _every, _finite, _frequency, _mul, _pump_frame,
-                    _reciprocal, effective_couplings)
+                    effective_couplings, susceptibility)
 
 # noise channels: thermal force on phonon/magnon at +w, conjugate partner at -w
 R_PLUS, R_MINUS, M_PLUS, M_MINUS = "r+", "r-", "m+", "m-"
@@ -79,16 +79,12 @@ def linear_system_response(omega, config: SystemConfig, channels=ALL_CHANNELS):
     return {ch: coeffs[k] for k, ch in enumerate(_CHANNEL_ORDER) if ch in channels}
 
 
-def _chi(gamma, omega_res, omega):
-    return 1 / (gamma / 2 - 1j * (omega - omega_res))
-
-
 def _loop_pieces(omega, config, g_a, g_b):
     """Scalar elimination pieces at one frequency: 1/X, Y and the bare susceptibilities."""
     gr, om_r = config.phonon.gamma, config.phonon.omega
-    chi_r = _chi(gr, om_r, omega)
-    chi_r_ref = _chi(gr, om_r, -omega).conjugate()
-    chi_m = _chi(config.magnon.gamma, config.magnon.omega, omega)
+    chi_r = susceptibility(gr, om_r, omega)
+    chi_r_ref = susceptibility(gr, om_r, -omega).conjugate()
+    chi_m = susceptibility(config.magnon.gamma, config.magnon.omega, omega)
     d_r = chi_r - chi_r_ref
     x_inv = (config.te_photon.gamma / 2 - 1j * (omega + config.drive_te.detuning) + abs(g_b) ** 2 * d_r
              + g_a * g_a * chi_m)
@@ -114,7 +110,7 @@ def closed_form_response(omega, config: SystemConfig):
     den = 1 - x * y * x_ref * y_ref
     if abs(den) < 1e-12:
         raise NumericsError(f"closed-form loop denominator below tolerance (|den| = {abs(den):.3e})")
-    chi_m_ref = _chi(config.magnon.gamma, config.magnon.omega, -omega).conjugate()
+    chi_m_ref = susceptibility(config.magnon.gamma, config.magnon.omega, -omega).conjugate()
     # direct drive vector and its frequency-reflected conjugate, channel order r+ r- m+ m-
     root_r, root_m = math.sqrt(config.phonon.gamma), math.sqrt(config.magnon.gamma)
     z = (-1j * g_b * root_r * chi_r, -1j * g_b * root_r * chi_r_ref, -1j * g_a * root_m * chi_m, 0j)
@@ -133,12 +129,12 @@ def _psd(config, omega, det_tm, det_te, g_a, g_b, inv, inv_ref, channels):
     With D = chi_r - chi_r~: M00 = inv + |g_b|^2 D + g_a^2 chi_m, M01 = g_b^2 D, M10 = -conj(g_b)^2 D and
     M11 = inv_ref - |g_b|^2 D + conj(g_a)^2 chi_m~. Every gamma > 0 keeps the eliminated block regular,
     so A is near-singular exactly when M is, by ||M||_F^2 / |det M| = ||M||_F ||M^-1||_F > _COND_LIMIT.
-    Scalars and arrays take the same steps through _mul and _reciprocal: a grid cell rounds like its point.
+    Scalars and arrays take the same steps through _mul and susceptibility: a grid cell rounds like its point.
     """
     gr, om_r = config.phonon.gamma, config.phonon.omega
     gm, om_m = config.magnon.gamma, config.magnon.omega
-    chi_r, chi_r_ref, chi_m, chi_m_ref = (_reciprocal(gamma / 2 - 1j * (omega + shift)) for gamma, shift in
-                                          ((gr, -om_r), (gr, om_r), (gm, -om_m), (gm, om_m)))
+    chi_r, chi_r_ref, chi_m, chi_m_ref = (susceptibility(gr, om_r, omega), susceptibility(gr, -om_r, omega),
+                                          susceptibility(gm, om_m, omega), susceptibility(gm, -om_m, omega))
     g_a_ref, g_b_ref = g_a.conjugate(), g_b.conjugate()  # np.conj would make a Python complex numpy's
     d = chi_r - chi_r_ref
     gb2_d = _mul(_abs2(g_b), d)
@@ -179,10 +175,10 @@ def psd_map(config_template: SystemConfig, omega_grid, detuning_grid, swept: str
 
     Returns a float array of shape (n_detuning, n_omega): row k is, bit for
     bit, the psd over omega_grid with the swept pump at detuning_grid[k].
-    Each row takes its couplings as a point does; the cells are evaluated
-    in array passes over blocks of rows, the detunings as a column, which
-    bounds the temporaries. No config is rebuilt, and evaluation order
-    never changes values.
+    The cells, couplings included, are evaluated in array passes over
+    blocks of rows, the detunings as a column, which bounds the
+    temporaries. No config is rebuilt, and evaluation order never changes
+    values.
     """
     if swept not in ("TE", "TM"):
         raise ConfigError(f"swept must be 'TE' or 'TM', got {swept!r}")
@@ -195,13 +191,12 @@ def psd_map(config_template: SystemConfig, omega_grid, detuning_grid, swept: str
         return (det_tm, det) if swept == "TE" else (det, det_te)
 
     strengths = (config_template.drive_tm.effective_strength, config_template.drive_te.effective_strength)
-    g = np.array([_pump_frame(config_template, *strengths, *detunings(det), 0.0)[:2]
-                  for det in detuning_grid.tolist()], dtype=complex)
     out = np.empty((detuning_grid.size, omega_grid.size))
     rows = max(1, _BLOCK_CELLS // omega_grid.size)
     for lo in range(0, detuning_grid.size, rows):
         block = slice(lo, lo + rows)
         dets = detunings(detuning_grid[block, None])
-        inv = _pump_frame(config_template, *strengths, *dets, omega_grid)[2:]  # couplings come from g
-        out[block] = _psd(config_template, omega_grid, *dets, g[block, :1], g[block, 1:], *inv, channels)
+        g_a, g_b, inv, inv_ref = _pump_frame(config_template, *strengths, *dets, omega_grid)
+        g_a, g_b = np.broadcast_arrays(g_a, g_b)  # the unswept one is a scalar: _mul's exact steps need arrays
+        out[block] = _psd(config_template, omega_grid, *dets, g_a, g_b, inv, inv_ref, channels)
     return out

@@ -14,7 +14,7 @@ import pytest
 from scipy.signal import find_peaks
 
 from magnomech import cli
-from magnomech.encircle import LoopSpec, chirality_report, evolve, parameters_at
+from magnomech.encircle import chirality_report, evolve, parameters_at
 from magnomech.ep import (
     build_hamiltonian,
     discriminant,
@@ -44,12 +44,9 @@ def _preset_psd_grid(name):
 
 
 def _loop_from_preset(name):
+    # the CLI's own translation of the preset's loop keys, so the gate runs the shipped loop
     p = get_preset(name)
-    c = p.run_params["loop"]
-    loop = LoopSpec(center=(c["center_p"], c["center_delta"]), radius_units=c["radius_units"],
-                    unit_scale=(c["unit_p"], c["unit_delta"]), direction=c["direction"],
-                    period=c["period"], start_phase=c["start_phase"], samples=c["samples"])
-    return loop, p.config
+    return cli._loop_from_run(p.run_params), p.config
 
 
 def _gate(clauses):
@@ -225,10 +222,8 @@ def test_criterion_5_exceptional_point_search():
         f"refined point sits in cell ({ei},{ej}) but the scan minimum is cell ({ci},{cj})"
 
     # branch monodromy: swap around the degeneracy, none around a clear loop
-    assert monodromy_swapped(preset.config, (ep.p_in, ep.delta),
-                             radius_p=0.3e11, radius_delta=0.3e7)
-    assert not monodromy_swapped(preset.config, (0.87e12, -5.5e6),
-                                 radius_p=1e11, radius_delta=1e6)
+    assert monodromy_swapped(preset.config, (ep.p_in, ep.delta), radius=(0.3e11, 0.3e7))
+    assert not monodromy_swapped(preset.config, (0.87e12, -5.5e6), radius=(1e11, 1e6))
     assert time.perf_counter() - t0 < 60.0
 
 

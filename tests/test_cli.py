@@ -92,10 +92,10 @@ def test_self_energy_multi_part_suffixes(tmp_path):
 
 def test_self_energy_parts_take_one_name_or_a_comma_list(tmp_path):
     grids = ["--set", "tm_grid=-1e8:1e8:5", "--set", "te_grid=-1e8:1e8:5"]
-    for stem, override in (("one", "parts=mm"), ("which", "which=mm"), ("pair", "parts=mr,rm")):
+    for stem, override in (("one", "parts=mm"), ("list", 'parts=["mm"]'), ("pair", "parts=mr,rm")):
         assert cli.main(["self-energy", "--preset", "fig2c", "--out", str(tmp_path / stem),
                          "--set", override, *grids]) == 0
-    assert data_section(str(tmp_path / "one.csv")) == data_section(str(tmp_path / "which.csv"))
+    assert data_section(str(tmp_path / "one.csv")) == data_section(str(tmp_path / "list.csv"))
     assert sorted(p.name for p in tmp_path.glob("pair*")) == ["pair_mr.csv", "pair_rm.csv"]
 
 
@@ -251,7 +251,17 @@ def test_bad_override_exits_2(tmp_path, capsys):
             ("find-ep", "fig5", "seeds_per_axis=8.9", "seeds_per_axis"),
             ("encircle", "fig6a", "loop.samples=64.9", "loop.samples"),
             ("spectrum", "fig4a", "omega_grid=[0, 1, 3.7]", "omega_grid"),
-            ("self-energy", "fig2c", "te_grid=[-1e8, 1e8, 2.5]", "te_grid")):
+            ("self-energy", "fig2c", "te_grid=[-1e8, 1e8, 2.5]", "te_grid"),
+            # the lo:hi:n shorthand is checked where the grid is read, which names the key
+            ("spectrum", "fig4a", "omega_grid=0:1:3.7", "omega_grid"),
+            ("spectrum", "fig4a", "omega_grid=0:1:x", "omega_grid"),
+            ("spectrum", "fig4a", "omega_grid=a:1:3", "omega_grid"),
+            ("self-energy", "fig2c", "parts=[]", "parts"),
+            # a loop semi-axis must be >= 0; a sign flip would trace the loop against its label
+            ("encircle", "fig6a", "loop.radius_p=-1e11", "loop.radius_p"),
+            ("encircle", "fig6a", "loop.radius_delta=-1e6", "loop.radius_delta"),
+            ("encircle", "fig6a", "loop.radius_p=NaN", "loop.radius_p"),
+            ("encircle", "fig6a", "loop.unit_p=-1e11", "loop.unit_p")):  # unknown: the semi-axes are in Hz
         assert cli.main([command, "--preset", preset, "--out", stem, "--set", override]) == 2
         err = json.loads(capsys.readouterr().err)
         assert err["error"]["type"] == "config"
@@ -275,6 +285,10 @@ def test_bad_override_exits_2(tmp_path, capsys):
     ("encircle", "fig6a", "slope_threshold", 0.5),
     ("spectrum", "fig4a", "omega_gird", [4e8, 2e9, 10]),  # misspelt keys too
     ("encircle", "fig6a", "loop.sample", 64),
+    ("encircle", "fig6a", "loop.unit_p", 1e11),  # the loop radius is the semi-axis pair in Hz
+    ("encircle", "fig6a", "loop.unit_delta", 1e6),
+    ("encircle", "fig6a", "loop.radius_units", 1.0),
+    ("self-energy", "fig2a", "which", "mm"),  # one-name parts
 ])
 @pytest.mark.parametrize("source", ["set", "file"])
 def test_unknown_run_key_exits_2_from_set_or_file(tmp_path, capsys, command, preset, key, value, source):

@@ -1,6 +1,7 @@
 import numpy as np
 import pytest
 
+from magnomech import cli
 from magnomech import encircle as enc
 from magnomech.encircle import (
     LoopSpec,
@@ -24,13 +25,10 @@ EP_DELTA = -4.690770086170e7
 
 
 def preset_loop(name, **overrides):
+    # through the CLI's own translation of the run keys, overrides being loop keys
     p = get_preset(name)
-    c = dict(p.run_params["loop"])
-    c.update(overrides)
-    loop = LoopSpec(center=(c["center_p"], c["center_delta"]), radius_units=c["radius_units"],
-                    unit_scale=(c["unit_p"], c["unit_delta"]), direction=c["direction"],
-                    period=c["period"], start_phase=c["start_phase"], samples=c["samples"])
-    return loop, p.config
+    run = {**p.run_params, "loop": {**p.run_params["loop"], **overrides}}
+    return cli._loop_from_run(run), p.config
 
 
 def attracting_vector(loop, config):
@@ -43,10 +41,10 @@ def attracting_vector(loop, config):
 
 
 def test_loop_geometry():
-    loop = LoopSpec(center=(8.7e11, -5.5e6), radius_units=1.0, unit_scale=(1e11, 1e6),
+    loop = LoopSpec(center=(8.7e11, -5.5e6), radius=(1e11, 1e6),
                     direction="ccw", period=1e-4, start_phase=0.0, samples=64)
     p, d = parameters_at(loop, 0.0)
-    assert p == 8.7e11 + 1e11  # one unit out along the drive axis
+    assert p == 8.7e11 + 1e11  # one semi-axis out along the drive axis
     assert d == -5.5e6
     p, d = parameters_at(loop, loop.period / 4)
     assert p == pytest.approx(8.7e11, abs=1e3)
@@ -63,16 +61,33 @@ def test_loop_geometry():
     assert parameters_at(loop, t) == pytest.approx(parameters_at(cw, loop.period - t))
 
 
+@pytest.mark.parametrize("name", ["fig6a", "fig6b", "fig6c", "fig6d"])
+def test_direction_label_matches_the_traced_path(name):
+    # shoelace area of the sampled (p_in, delta) path, about its center: > 0 is ccw, < 0 is cw
+    loop, _ = preset_loop(name)
+    for one in (loop, loop.reversed()):
+        p, d = enc._params_at(one, np.linspace(0.0, one.period, one.samples))
+        p, d = p - one.center[0], d - one.center[1]
+        area = 0.5 * np.sum(p[:-1] * d[1:] - p[1:] * d[:-1])
+        expected = np.pi * one.radius[0] * one.radius[1]
+        assert area == pytest.approx(one.orientation * expected, rel=1e-3), (one.direction, area)
+
+
 def test_loop_validation():
-    good = dict(center=(8.7e11, -5.5e6), radius_units=1.0, unit_scale=(1e11, 1e6),
+    good = dict(center=(8.7e11, -5.5e6), radius=(1e11, 1e6),
                 direction="ccw", period=1e-4, start_phase=0.0, samples=64)
     LoopSpec(**good)
-    for bad in ({"direction": "widdershins"}, {"period": 0.0}, {"samples": 32},
-                {"radius_units": -1.0}):
+    for bad in ({"direction": "widdershins"}, {"period": 0.0}, {"samples": 32}, {"radius": 1e11},
+                {"radius": (1e11, 1e6, 1.0)}):
         with pytest.raises(ConfigError):
             LoopSpec(**{**good, **bad})
+    # each semi-axis must be finite and >= 0; the error names it
+    for radius, key in (((-1e11, 1e6), "loop.radius_p"), ((1e11, -1e6), "loop.radius_delta"),
+                        ((np.inf, 1e6), "loop.radius_p"), ((1e11, np.nan), "loop.radius_delta")):
+        with pytest.raises(ConfigError, match=key):
+            LoopSpec(**{**good, "radius": radius})
     # zero radius is a legal stationarity probe
-    LoopSpec(**{**good, "radius_units": 0.0})
+    LoopSpec(**{**good, "radius": (0.0, 0.0)})
 
 
 def test_parameters_at_rejects_out_of_range():
@@ -85,7 +100,7 @@ def test_parameters_at_rejects_out_of_range():
 
 def test_initial_basis_diagonal_start_is_coordinate_basis():
     cfg = build_config()  # omega_r > omega_m, so the phonon axis carries the larger Re
-    loop = LoopSpec(center=(0.0, -5e6), radius_units=0.0, unit_scale=(1e11, 1e6),
+    loop = LoopSpec(center=(0.0, -5e6), radius=(0.0, 0.0),
                     direction="ccw", period=1e-4, start_phase=0.0, samples=64)
     v_a, v_b = initial_basis(loop, cfg)
     assert np.allclose(v_a, [1.0, 0.0])
@@ -108,7 +123,7 @@ def test_initial_basis_orders_by_real_part():
 
 def test_initial_basis_rejects_degenerate_start():
     _, cfg = preset_loop("fig6a")
-    at_ep = LoopSpec(center=(EP_P_IN, EP_DELTA), radius_units=0.0, unit_scale=(1e11, 1e6),
+    at_ep = LoopSpec(center=(EP_P_IN, EP_DELTA), radius=(0.0, 0.0),
                      direction="ccw", period=1e-4, start_phase=0.0, samples=64)
     with pytest.raises(ConfigError):
         initial_basis(at_ep, cfg)
@@ -147,7 +162,7 @@ def test_fractions_sum_to_one_and_states_unit_norm():
 
 
 def test_zero_radius_stationarity_on_attracting_branch():
-    loop, cfg = preset_loop("fig6a", radius_units=0.0, samples=96)
+    loop, cfg = preset_loop("fig6a", radius_p=0.0, radius_delta=0.0, samples=96)
     v = attracting_vector(loop, cfg)
     traj = evolve(loop, cfg, initial_state=v)
     fractions = traj.fractions[:, 1]  # the attracting branch is 'b' here
@@ -155,7 +170,7 @@ def test_zero_radius_stationarity_on_attracting_branch():
 
 
 def test_zero_radius_log_norm_matches_eigenvalue_decay():
-    loop, cfg = preset_loop("fig6a", radius_units=0.0, samples=96)
+    loop, cfg = preset_loop("fig6a", radius_p=0.0, radius_delta=0.0, samples=96)
     p0, d0 = parameters_at(loop, 0.0)
     pair = eigenpairs(hamiltonian_on_plane(cfg, p0, d0))
     lam_slow = max(pair.lambda_plus, pair.lambda_minus, key=lambda z: z.imag)
@@ -167,7 +182,7 @@ def test_zero_radius_log_norm_matches_eigenvalue_decay():
 def test_zero_radius_mixed_start_matches_eigendecomposition():
     # a constant operator has a zero Magnus commutator, so every step is exact;
     # the mixed start is not an eigenvector, so both exponentials must be right
-    loop, cfg = preset_loop("fig6a", radius_units=0.0, period=1e-6, samples=96)
+    loop, cfg = preset_loop("fig6a", radius_p=0.0, radius_delta=0.0, period=1e-6, samples=96)
     v_a, v_b = initial_basis(loop, cfg)
     u0 = (v_a + v_b) / np.linalg.norm(v_a + v_b)
     traj = evolve(loop, cfg, initial_state=u0)

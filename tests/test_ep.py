@@ -196,8 +196,8 @@ def test_found_eps_are_degenerate_branch_points(rng):
         for ep in find_exceptional_points(cfg, ((0.0, 5e12), (-2e8, 2e8)), tie_tm_detuning=tie):
             lam = np.linalg.eigvals(hamiltonian_on_plane(cfg, ep.p_in, ep.delta, tie_tm_detuning=tie))
             assert abs(lam[0] - lam[1]) <= 1e-6 * max(abs(lam.mean()), 1.0)
-            assert monodromy_swapped(cfg, (ep.p_in, ep.delta), radius_p=1e-3 * ep.p_in,
-                                     radius_delta=4e5, tie_tm_detuning=tie)
+            assert monodromy_swapped(cfg, (ep.p_in, ep.delta), radius=(1e-3 * ep.p_in, 4e5),
+                                     tie_tm_detuning=tie)
             count += 1
     assert count >= 20
 
@@ -287,7 +287,5 @@ def test_surface_continuity_away_from_ep():
 
 def test_monodromy_swap_around_ep_and_not_elsewhere():
     cfg = get_preset("fig5").config
-    assert monodromy_swapped(cfg, (EP_P_IN, EP_DELTA), radius_p=0.3e11,
-                             radius_delta=0.3e7)
-    assert not monodromy_swapped(cfg, (0.87e12, -5.5e6), radius_p=1e11,
-                                 radius_delta=1e6)
+    assert monodromy_swapped(cfg, (EP_P_IN, EP_DELTA), radius=(0.3e11, 0.3e7))
+    assert not monodromy_swapped(cfg, (0.87e12, -5.5e6), radius=(1e11, 1e6))
