@@ -283,7 +283,7 @@ def _run_spectrum(spec: RunSpec):
     run = spec.run_params
     omega_grid = _linspace(run["omega_grid"], "omega_grid")
     detuning_grid = _linspace(run["detuning_grid"], "detuning_grid")
-    swept = run.get("swept", "TE")
+    swept = run["swept"]
     channels = (run.get("noise") or {}).get("channels")
     psd = spectrum.psd_map(spec.config, omega_grid, detuning_grid, swept=swept,
                            channels=spectrum.ALL_CHANNELS if channels is None else _names(channels))
@@ -300,9 +300,7 @@ def _run_spectrum(spec: RunSpec):
 
 
 def _region_from_run(run):
-    region = run.get("region")
-    if region is None:
-        raise ConfigError("EP search needs run key 'region' = [[p_lo, p_hi], [delta_lo, delta_hi]]")
+    region = run["region"]
     try:
         (p_lo, p_hi), (d_lo, d_hi) = region
         return (float(p_lo), float(p_hi)), (float(d_lo), float(d_hi))
@@ -313,19 +311,19 @@ def _region_from_run(run):
 def _ep_records(spec, region, tie):
     run = spec.run_params
     locations = ep.find_exceptional_points(
-        spec.config, region, seeds_per_axis=_count("seeds_per_axis", run.get("seeds_per_axis", 24)),
+        spec.config, region, seeds_per_axis=_count("seeds_per_axis", run["seeds_per_axis"]),
         tie_tm_detuning=tie)
     return [loc.to_record() for loc in locations]
 
 
 def _run_surface(spec: RunSpec):
     run = spec.run_params
-    tie = _flag(run, "tie")
+    tie, region = _flag(run, "tie"), _region_from_run(run)
     p_grid = _linspace(run["p_grid"], "p_grid")
     delta_grid = _linspace(run["delta_grid"], "delta_grid")
     ref = (spec.config.magnon.omega + spec.config.phonon.omega) / 2  # the resonators' midpoint
     surf = ep.riemann_surface(spec.config, p_grid, delta_grid, tie_tm_detuning=tie)
-    records = _ep_records(spec, _region_from_run(run), tie)
+    records = _ep_records(spec, region, tie)
     table = {"p_in": output.GridAxis(surf.p_grid, repeat=surf.delta_grid.size),
              "delta": output.GridAxis(surf.delta_grid, tile=surf.p_grid.size),
              "re_lambda_1": (surf.lambda1.real - ref).ravel(), "im_lambda_1": surf.lambda1.imag.ravel(),

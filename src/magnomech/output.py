@@ -4,7 +4,10 @@ Every file carries a metadata header (preset, config hash, unit system,
 column names) and a data section whose bytes depend only on the inputs:
 no timestamps, no environment echoes, platform-stable float formatting.
 Tables are columns: a mapping from column name to a 1-D array or a
-GridAxis, formatted once per cell for both CSV and JSON. CSV metadata
+GridAxis, formatted once per cell for both CSV and JSON. A float cell is
+exactly Python's shortest round-trip repr: orjson formats the whole column
+in one pass, and repr redoes the cells whose layout differs (non-finite,
+1e-9 <= |x| < 1e-4, |x| >= 1e16). CSV metadata
 lines start with '#'; the data section is everything after them. JSON
 artifacts are one compact sorted-key line {"data": ..., "metadata": ...};
 their data section compares parsed values.
@@ -17,6 +20,7 @@ import json
 from dataclasses import dataclass
 
 import numpy as np
+import orjson
 
 UNITS_NOTE = "rates in Hz-as-labeled (2e7 means a 20 MHz rate); hbar = 1"
 
@@ -44,7 +48,13 @@ class JsonText(str):
 
 
 def format_column(column):
-    """CSV text of a 1-D column, one string per cell: bools as 1/0, ints by str, floats by repr."""
+    """CSV text of a 1-D column, one string per cell: bools as 1/0, ints by str, floats as repr writes them.
+
+    orjson writes the same shortest round-trip digits as repr, in one C pass
+    over the column; only its layout differs, and only for non-finite values
+    (null), for 1e-9 <= |x| < 1e-4 (1e-7 and 0.00001 against 1e-07 and 1e-05)
+    and for |x| >= 1e16 (1e16 against 1e+16). Those cells are redone by repr.
+    """
     if isinstance(column, GridAxis):
         text = format_column(column.values)
         return [s for s in text for _ in range(column.repeat)] * column.tile
@@ -53,7 +63,17 @@ def format_column(column):
         return ["1" if v else "0" for v in col.tolist()]
     if col.dtype.kind in "iu":
         return list(map(str, col.tolist()))
-    return list(map(repr, col.astype(float).tolist()))
+    values = np.ascontiguousarray(col, dtype=np.float64)
+    if not values.size:
+        return []
+    cells = orjson.dumps(values, option=orjson.OPT_SERIALIZE_NUMPY).decode().split(",")
+    cells[0] = cells[0][1:]  # strip the brackets in place: one cell for a one-value column
+    cells[-1] = cells[-1][:-1]
+    mag = np.abs(values)
+    redo = np.flatnonzero(~(mag < 1e16) | ((mag >= 1e-9) & (mag < 1e-4)))  # ~(<) also takes nan
+    for i, v in zip(redo.tolist(), values[redo].tolist()):
+        cells[i] = repr(v)
+    return cells
 
 
 def json_cells(column, cells):
@@ -72,7 +92,8 @@ def json_list(cells):
 
 def json_rows(cells):
     """The {"columns", "rows"} JSON text of a table from its columns' json_cells."""
-    rows = ", ".join(map(json_list, zip(*cells.values())))
+    rows = "], [".join(map(", ".join, zip(*cells.values())))
+    rows = f"[{rows}]" if rows else ""  # a cell is never empty text, so no rows means no text
     return JsonText(f'{{"columns": {json.dumps(list(cells))}, "rows": [{rows}]}}')
 
 

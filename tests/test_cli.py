@@ -12,8 +12,8 @@ from magnomech import cli
 from magnomech.ep import eigenpairs, hamiltonian_on_plane
 from magnomech.errors import NumericsError
 from magnomech.model import effective_couplings
-from magnomech.output import (GridAxis, config_hash, data_section, format_column, metadata_block,
-                              write_csv, write_json)
+from magnomech.output import (GridAxis, config_hash, data_section, format_column, json_rows,
+                              metadata_block, write_csv, write_json)
 from magnomech.presets import REGISTRY, get_preset, verify_registry
 
 
@@ -326,6 +326,15 @@ def test_config_file_parse_error_exits_2(tmp_path, capsys):
     assert "line" in msg and "column" in msg
 
 
+def test_null_region_exits_2_as_malformed(tmp_path, capsys):
+    for command in ("find-ep", "surface"):
+        stem = str(tmp_path / command)
+        assert cli.main([command, "--preset", "fig5", "--out", stem, "--set", "region=null"]) == 2
+        err = json.loads(capsys.readouterr().err)["error"]
+        assert err["type"] == "config"
+        assert err["message"] == "malformed region None"
+
+
 def test_unknown_config_file_key_exits_2(tmp_path, capsys):
     path = tmp_path / "extra.json"
     path.write_text(json.dumps({"config": get_preset("fig5").config.to_dict(), "extra": 1}))
@@ -410,6 +419,44 @@ def test_float_cells_are_exact_reprs(tmp_path):
     assert rows == [f"{v!r},{a!r}" for v, a in zip(values, [-0.0] * 4 + [0.5] * 4)]
 
 
+def test_float_column_text_equals_repr_everywhere():
+    """The one-pass column formatter writes repr's text for every float64, wherever its layout rules switch."""
+    def reprs(column):
+        return [repr(v) for v in np.asarray(column, dtype=float).tolist()]
+
+    bits = np.random.default_rng(20180618).integers(0, 2**64, size=200_000, dtype=np.uint64)
+    random_floats = bits.view(np.float64)
+    assert format_column(random_floats) == reprs(random_floats)
+    decades = 10.0 ** np.arange(-323, 309)
+    sweep = np.concatenate([decades, 3.7 * decades[:-1], -decades, -3.7 * decades[:-1]])
+    assert format_column(sweep) == reprs(sweep)
+    switches = np.array([1e-9, 1e-4, 1e16])
+    edges = np.concatenate([switches, np.nextafter(switches, 0), np.nextafter(switches, np.inf)])
+    specials = np.array([0.0, -0.0, 5e-324, -5e-324, np.finfo(float).max, -np.finfo(float).max,
+                         np.nan, np.inf, -np.inf])
+    for column in (edges, -edges, specials):
+        assert format_column(column) == reprs(column)
+    assert format_column(np.array([], dtype=float)) == format_column([]) == []
+    assert format_column(np.array([1e-7])) == ["1e-07"] and format_column(np.array([2.5])) == ["2.5"]
+    single = np.array([1e-5, 0.1, 3e20], dtype=np.float32)  # widened to float64 first, as repr sees it
+    assert format_column(single) == reprs(single.astype(float))
+    strided = sweep[::7]
+    assert not strided.flags.c_contiguous
+    assert format_column(strided) == reprs(strided)
+    assert format_column(sweep[::-1]) == reprs(sweep[::-1])
+    assert format_column([1e-5, -0.0, 1e16, float("nan")]) == ["1e-05", "-0.0", "1e+16", "nan"]
+    axis = GridAxis(edges, repeat=2, tile=3)
+    assert format_column(axis) == reprs(np.asarray(axis))
+
+
+def test_json_rows_text_is_one_json_list_per_row():
+    cells = {"a": ["1.0", "-0.0"], "b": ["true", "false"], "c": ["NaN", "3"]}
+    assert json_rows(cells) == '{"columns": ["a", "b", "c"], "rows": [[1.0, true, NaN], [-0.0, false, 3]]}'
+    assert json_rows({"a": ["2.5"]}) == '{"columns": ["a"], "rows": [[2.5]]}'
+    assert json_rows({"a": [], "b": []}) == '{"columns": ["a", "b"], "rows": []}'
+    assert json_rows({}) == '{"columns": [], "rows": []}'
+
+
 def test_table_json_is_the_encoders_text_and_csv_the_cell_text(tmp_path):
     values = np.array([-0.0, np.nan, np.inf, -np.inf, 5e-324, 1e300, 0.1 + 0.2, 7.0])
     table = {"v": values, "n": np.arange(8) - 3, "flag": values > 0,
@@ -448,6 +495,24 @@ def test_every_grid_preset_csv_and_json_agree(tmp_path):
                 data["rows"] = np.column_stack([np.tile(omega, dets.size), np.repeat(dets, omega.size),
                                                 np.ravel(data["psd"])])
             assert np.array_equal(rows, np.array(data["rows"], dtype=float), equal_nan=True), csv_path.name
+
+
+def test_spectrum_cells_are_repr_text_end_to_end(tmp_path):
+    """fig4b holds PSD cells where orjson's layout differs from repr's; CSV keeps repr's text, JSON its values."""
+    stem = str(tmp_path / "fig4b")
+    assert cli.main(["spectrum", "--preset", "fig4b", "--out", stem, "--format", "csv,json"]) == 0
+    with open(stem + ".csv") as fh:
+        header, *rows = [line.rstrip("\n").split(",") for line in fh if not line.startswith("#")]
+    assert header == ["omega", "detuning", "psd"]
+    assert all(c == repr(float(c)) for row in rows for c in row)
+    psd = np.array([row[2] for row in rows], dtype=float)
+    mag = np.abs(psd)
+    assert ((mag >= 1e-9) & (mag < 1e-4)).any()  # the cells orjson would write as 1e-7 or 0.00001
+    data = read_json(stem + ".json")["data"]
+    n = len(data["omega"])
+    assert np.array_equal(np.ravel(data["psd"]), psd)
+    assert np.array_equal(np.tile(data["omega"], len(data["detuning"])), [float(row[0]) for row in rows])
+    assert np.array_equal(np.repeat(data["detuning"], n), [float(row[1]) for row in rows])
 
 
 def test_grid_axis_text_matches_its_expanded_values():
