@@ -269,10 +269,12 @@ def _run_self_energy(spec: RunSpec):
     else:
         axes = {"delta_tm": output.GridAxis(tm_grid, repeat=te_grid.size),
                 "delta_te": output.GridAxis(te_grid, tile=tm_grid.size)}
+    # every component is evaluated before any file is written, so a failing one leaves no artifact
+    sigmas = [self_energy.sweep_self_energy(spec.config, tm_grid, te_grid, part, diagonal=diagonal)
+              for part in parts]
     written = []
-    for part in parts:
+    for part, sigma in zip(parts, sigmas):
         suffix = f"_{part}" if len(parts) > 1 else ""
-        sigma = self_energy.sweep_self_energy(spec.config, tm_grid, te_grid, part, diagonal=diagonal)
         table = {**axes, "re_sigma": sigma.real, "im_sigma": sigma.imag}
         extra = {"component": part, "sweep": "diagonal" if diagonal else "grid"}
         written += _write_table(spec, suffix, table, extra)
@@ -375,7 +377,7 @@ def _run_encircle(spec: RunSpec):
     run = spec.run_params
     loop = _loop_from_run(run)
     tie = _flag(run, "tie")
-    rtol = _number("rtol", run.get("rtol", 1e-8))
+    rtol = _number("rtol", run.get("rtol", enc.RTOL))
     primary, reverse = enc.evolve_both_directions(loop, spec.config, rtol=rtol, tie_tm_detuning=tie)
     # opposite traversals of one loop line up half a period apart
     report = enc.chirality_report(primary, reverse, align_shift=round(loop.samples / 2))

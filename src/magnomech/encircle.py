@@ -30,6 +30,7 @@ from .errors import ConfigError, NumericsError
 from .ep import GAP_RTOL, _ellipse, eigenpairs, hamiltonian_on_plane
 from .model import SystemConfig
 
+RTOL = 1e-8  # default pass-to-pass agreement at which transport stops doubling its substep count
 SLOPE_THRESHOLD = 0.5  # |d f_a / d theta| above which a sample counts toward an oscillation's duration
 _GAUSS = np.array([0.5 - np.sqrt(3) / 6, 0.5 + np.sqrt(3) / 6])  # Gauss points of a unit step
 _BLOCK_STEPS = 2 ** 15  # Magnus steps per batched operator build, bounding the temporaries
@@ -275,7 +276,7 @@ def _evolve(loop, config_template, initial_state, rtol, tie_tm_detuning, senses)
 
 
 def evolve(loop: LoopSpec, config_template: SystemConfig, initial_state=None,
-           rtol: float = 1e-8, tie_tm_detuning: bool = False) -> Trajectory:
+           rtol: float = RTOL, tie_tm_detuning: bool = False) -> Trajectory:
     """Carry the state once around the loop, renormalizing at every sample.
 
     The substep count per sample interval runs 4, 8, 16. From 16 on the pass-to-pass spread
@@ -288,7 +289,7 @@ def evolve(loop: LoopSpec, config_template: SystemConfig, initial_state=None,
     return _evolve(loop, config_template, initial_state, rtol, tie_tm_detuning, (1,))[0]
 
 
-def evolve_both_directions(loop: LoopSpec, config_template: SystemConfig, rtol: float = 1e-8,
+def evolve_both_directions(loop: LoopSpec, config_template: SystemConfig, rtol: float = RTOL,
                            tie_tm_detuning: bool = False):
     """(along loop, along loop.reversed()) trajectories from the 'a' supermode, as `evolve` gives them.
 

@@ -20,7 +20,7 @@ import math
 import numpy as np
 
 from .errors import ConfigError, NumericsError
-from .model import (SystemConfig, _abs, _checked_grid, _drives, _every, _finite, _mul, _pump_frame,
+from .model import (SystemConfig, _abs, _checked_grid, _drives, _every, _finite, _mul, _pump_frame, _quiet,
                     _reciprocal)
 from .self_energy import _dressing, _mediated
 
@@ -67,12 +67,13 @@ def _operator(config, strength_tm, strength_te, det_tm, det_te):
     del inv, inv_ref  # a loop-transport batch holds 2^16 cells: drop each 1 MB inverse before the 2x2 stack
     args = (g_a, g_b, chi, chi_ref)
     h = np.empty(np.broadcast_shapes(np.shape(g_a), np.shape(g_b)) + (2, 2), dtype=complex)
-    h[..., 0, 0] = config.phonon.omega - 0.5j * config.phonon.gamma + _dressing("rr", *args)
-    # conj(g_a)*g_b*chi; eliminating the 6x6 system of spectrum gives g_a*conj(g_b)*chi
-    # (sigma_rm) here instead, and the two differ unless g_a*conj(g_b) is real
-    h[..., 0, 1] = _mediated(np.conj(g_a), g_b, chi)
-    h[..., 1, 0] = _dressing("mr", *args)
-    h[..., 1, 1] = config.magnon.omega - 0.5j * config.magnon.gamma + _dressing("mm", *args)
+    with _quiet(g_a, g_b, chi):  # an overflowing cell is reported by _checked
+        h[..., 0, 0] = config.phonon.omega - 0.5j * config.phonon.gamma + _dressing("rr", *args)
+        # conj(g_a)*g_b*chi; eliminating the 6x6 system of spectrum gives g_a*conj(g_b)*chi
+        # (sigma_rm) here instead, and the two differ unless g_a*conj(g_b) is real
+        h[..., 0, 1] = _mediated(g_a.conjugate(), g_b, chi)
+        h[..., 1, 0] = _dressing("mr", *args)
+        h[..., 1, 1] = config.magnon.omega - 0.5j * config.magnon.gamma + _dressing("mm", *args)
     return h
 
 
@@ -114,8 +115,7 @@ def _entries(h):
 def discriminant(h):
     """Quadratic discriminant of one 2x2 matrix (a complex) or of a stack; eigenvalues coalesce at its zeros."""
     h00, h01, h10, h11 = _entries(np.asarray(h, dtype=complex))
-    d = _mul(h00 - h11, h00 - h11) + _mul(4 * h01, h10)
-    return complex(d) if np.ndim(d) == 0 else d
+    return _mul(h00 - h11, h00 - h11) + _mul(4 * h01, h10)
 
 
 def eigenvalues(h):
@@ -237,6 +237,9 @@ def find_exceptional_points(config_template: SystemConfig, region, seeds_per_axi
         raise ConfigError("EP search region must be a non-degenerate rectangle at drive strengths >= 0")
     if seeds_per_axis < 8:
         raise ConfigError("seeds_per_axis must be at least 8")
+    s_hi = p_hi * p_hi  # a Python float ** 2 would raise OverflowError where this gives inf
+    if not math.isfinite(s_hi):
+        raise NumericsError(f"EP search region reaches p_in = {p_hi!r}, whose square overflows")
     bare = hamiltonian_on_plane(config_template, 0.0, d_lo, tie_tm_detuning)  # undriven: diagonal at every delta
     d0 = bare[0, 0] - bare[1, 1]
     if d0 == 0:
@@ -245,7 +248,7 @@ def find_exceptional_points(config_template: SystemConfig, region, seeds_per_axi
     @np.errstate(all="ignore")  # a pole of s (d1**2 + 4*m01*m10 = 0) gives non-finite roots, dropped below
     def on_line(delta):
         # F from the roots' sum and product, so no square-root branch cut enters; sqrt(Re s) of the root nearer real
-        m = (hamiltonian_on_plane(config_template, p_hi, delta, tie_tm_detuning) - bare) / p_hi ** 2
+        m = (hamiltonian_on_plane(config_template, p_hi, delta, tie_tm_detuning) - bare) / s_hi
         d1 = m[..., 0, 0] - m[..., 1, 1]
         a = d1 * d1 + 4 * m[..., 0, 1] * m[..., 1, 0]
         total, product = -2 * d0 * d1 / a, d0 * d0 / a

@@ -14,6 +14,7 @@ an effective resonance at minus its pump detuning.
 from __future__ import annotations
 
 import cmath
+import contextlib
 from dataclasses import dataclass, replace
 
 import numpy as np
@@ -201,6 +202,21 @@ def _reciprocal(z):
     return out
 
 
+_SCALARS = contextlib.nullcontext()
+
+
+def _quiet(*values):
+    """A context silencing numpy's overflow and invalid warnings if any of values is an array.
+
+    For callers that report non-finite cells themselves. On scalars it does nothing: Python arithmetic
+    warns of nothing, and np.errstate costs more than a point evaluation.
+    """
+    for value in values:
+        if isinstance(value, np.ndarray):
+            return np.errstate(over="ignore", invalid="ignore")
+    return _SCALARS
+
+
 def _every(flags):
     return bool(flags.all()) if isinstance(flags, np.ndarray) else bool(flags)
 
@@ -208,6 +224,13 @@ def _every(flags):
 def _finite(x):
     # cmath on scalars: numpy's per-call overhead would dominate the point functions
     return bool(np.isfinite(x).all()) if isinstance(x, np.ndarray) else cmath.isfinite(x)
+
+
+def _at_first(bad, *values):
+    """Each of values, broadcast against the flags bad, as a float at the first cell where bad holds."""
+    bad = np.asarray(bad)
+    k = np.argmax(bad)
+    return tuple(float(np.broadcast_to(value, bad.shape).flat[k]) for value in values)
 
 
 def _checked_grid(name, grid, increasing=False):
@@ -233,11 +256,11 @@ def susceptibility(gamma, omega_res, omega):
 
 
 def _pump_coupling(mode: OscillatorMode, detuning, strength):
-    """Pump-enhanced coupling strength*sqrt(2 gamma_ext)/(gamma - i detuning) of one optical branch."""
+    """Pump-enhanced coupling strength*sqrt(2 gamma_ext)/(gamma - i detuning): on scalars a Python complex."""
     g = strength * np.sqrt(2 * mode.gamma_ext) / (-1j * detuning + mode.gamma)
     if not _finite(g):
         raise NumericsError("effective coupling evaluated non-finite; check drive and damping values")
-    return g
+    return g if isinstance(g, np.ndarray) else complex(g)
 
 
 def _pump_frame(config: SystemConfig, strength_tm, strength_te, det_tm, det_te, omega):
@@ -262,4 +285,4 @@ def _drives(config: SystemConfig):
 def effective_couplings(config: SystemConfig) -> EffectiveCoupling:
     """Both pump-enhanced coupling rates for the configured drives."""
     g_a, g_b, _, _ = _pump_frame(config, *_drives(config), omega=0.0)  # the responses are not needed here
-    return EffectiveCoupling(g_a=complex(g_a), g_b=complex(g_b))
+    return EffectiveCoupling(g_a=g_a, g_b=g_b)

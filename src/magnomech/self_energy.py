@@ -10,8 +10,9 @@ from __future__ import annotations
 
 import numpy as np
 
-from .errors import ConfigError
-from .model import SystemConfig, _abs, _checked_grid, _drives, _frequency, _mul, _pump_frame, _reciprocal
+from .errors import ConfigError, NumericsError
+from .model import (SystemConfig, _abs, _at_first, _checked_grid, _drives, _finite, _frequency, _mul, _pump_frame,
+                    _quiet, _reciprocal)
 
 
 def _mediated(left, right, chi):
@@ -26,19 +27,24 @@ def _dressing(which, g_a, g_b, chi, chi_ref):
     chi_ref, the conjugate TE response at minus the frequency, is read by "rr" only.
     """
     if which == "rr":
-        return -1j * _abs(g_b) ** 2 * (chi - chi_ref)
+        modulus = _abs(g_b)  # |g_b|^2 as a product: a Python float ** 2 raises OverflowError where this gives inf
+        return -1j * (modulus * modulus) * (chi - chi_ref)
     if which == "mm":
         return _mediated(g_a, g_a, chi)
-    return _mediated(g_a, g_b if which == "mr" else np.conj(g_b), chi)
+    return _mediated(g_a, g_b if which == "mr" else g_b.conjugate(), chi)
 
 
 def _sigma(which, config, omega, strength_tm, strength_te, det_tm, det_te):
     # one dressing term over broadcast frequency and drive axes: the point functions and the sweep;
     # a frequency that is not finite is refused naming omega, as by every point function
-    omega = np.asarray(_frequency(omega, grid=True))
+    omega = _frequency(omega, grid=True)
     g_a, g_b, inv, inv_ref = _pump_frame(config, strength_tm, strength_te, det_tm, det_te, omega)
-    out = _dressing(which, g_a, g_b, _reciprocal(inv), _reciprocal(inv_ref) if which == "rr" else None)
-    return complex(out) if np.ndim(out) == 0 else out
+    with _quiet(g_a, g_b, inv):  # an overflowing cell is reported below
+        out = _dressing(which, g_a, g_b, _reciprocal(inv), _reciprocal(inv_ref) if which == "rr" else None)
+    if not _finite(out):
+        raise NumericsError("self-energy {!r} evaluated non-finite at detuning_tm {!r}, detuning_te {!r}, "
+                            "omega {!r}".format(which, *_at_first(~np.isfinite(out), det_tm, det_te, omega)))
+    return out
 
 
 def sigma_rr(omega, config: SystemConfig) -> complex:

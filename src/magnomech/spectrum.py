@@ -19,13 +19,14 @@ narrow band of interest, so it only scales the whole map.
 
 from __future__ import annotations
 
+import cmath
 import math
 
 import numpy as np
 
 from .errors import ConfigError, NumericsError
-from .model import (SystemConfig, _abs, _checked_grid, _drives, _every, _finite, _frequency, _mul, _pump_frame,
-                    effective_couplings, susceptibility)
+from .model import (SystemConfig, _abs, _at_first, _checked_grid, _drives, _every, _finite, _frequency, _mul,
+                    _pump_frame, _quiet, effective_couplings, susceptibility)
 
 # noise channels: thermal force on phonon/magnon at +w, conjugate partner at -w
 R_PLUS, R_MINUS, M_PLUS, M_MINUS = "r+", "r-", "m+", "m-"
@@ -47,7 +48,6 @@ def _channels(channels):
 def _assemble(config, omega):
     """System matrix A (6, 6) at one frequency and the configured pump detunings, and the drive matrix (6, 4)."""
     ga, gb, inv, inv_ref = _pump_frame(config, *_drives(config), omega)
-    ga, gb = complex(ga), complex(gb)
     gac, gbc = ga.conjugate(), gb.conjugate()
     gr, om_r = config.phonon.gamma, config.phonon.omega
     gm, om_m = config.magnon.gamma, config.magnon.omega
@@ -86,7 +86,7 @@ def _loop_pieces(omega, config, g_a, g_b):
     chi_r_ref = susceptibility(gr, om_r, -omega).conjugate()
     chi_m = susceptibility(config.magnon.gamma, config.magnon.omega, omega)
     d_r = chi_r - chi_r_ref
-    x_inv = (config.te_photon.gamma / 2 - 1j * (omega + config.drive_te.detuning) + abs(g_b) ** 2 * d_r
+    x_inv = (config.te_photon.gamma / 2 - 1j * (omega + config.drive_te.detuning) + abs(g_b) * abs(g_b) * d_r
              + g_a * g_a * chi_m)
     return x_inv, g_b * g_b * d_r, chi_r, chi_r_ref, chi_m
 
@@ -116,7 +116,10 @@ def closed_form_response(omega, config: SystemConfig):
     z = (-1j * g_b * root_r * chi_r, -1j * g_b * root_r * chi_r_ref, -1j * g_a * root_m * chi_m, 0j)
     z_ref = (1j * g_b.conjugate() * root_r * chi_r, 1j * g_b.conjugate() * root_r * chi_r_ref, 0j,
              1j * g_a.conjugate() * root_m * chi_m_ref)
-    return {ch: x * (zk - y * x_ref * zr) / den for ch, zk, zr in zip(_CHANNEL_ORDER, z, z_ref)}
+    out = {ch: x * (zk - y * x_ref * zr) / den for ch, zk, zr in zip(_CHANNEL_ORDER, z, z_ref)}
+    if not all(map(cmath.isfinite, out.values())):  # an overflowing drive gives inf or nan, never an exception
+        raise NumericsError("closed-form response evaluated non-finite")
+    return out
 
 
 def _abs2(z):
@@ -135,7 +138,7 @@ def _psd(config, omega, det_tm, det_te, g_a, g_b, inv, inv_ref, channels):
     gm, om_m = config.magnon.gamma, config.magnon.omega
     chi_r, chi_r_ref, chi_m, chi_m_ref = (susceptibility(gr, om_r, omega), susceptibility(gr, -om_r, omega),
                                           susceptibility(gm, om_m, omega), susceptibility(gm, -om_m, omega))
-    g_a_ref, g_b_ref = g_a.conjugate(), g_b.conjugate()  # np.conj would make a Python complex numpy's
+    g_a_ref, g_b_ref = g_a.conjugate(), g_b.conjugate()
     d = chi_r - chi_r_ref
     gb2_d = _mul(_abs2(g_b), d)
     m00 = inv + gb2_d + _mul(_mul(g_a, g_a), chi_m)
@@ -146,10 +149,9 @@ def _psd(config, omega, det_tm, det_te, g_a, g_b, inv, inv_ref, channels):
     if not _every(_abs(det) * _COND_LIMIT >= frob2):  # false also where either is nan
         with np.errstate(all="ignore"):
             cond = np.divide(frob2, _abs(det))
-        k = np.argmax(~(cond <= _COND_LIMIT))
         raise NumericsError("(b, b~) system near-singular: condition number {:.3e} at detuning_tm {!r}, "
-                            "detuning_te {!r}, omega {!r}".format(*(float(np.broadcast_to(
-                                x, cond.shape).flat[k]) for x in (cond, det_tm, det_te, omega))))
+                            "detuning_te {!r}, omega {!r}".format(
+                                *_at_first(~(cond <= _COND_LIMIT), cond, det_tm, det_te, omega)))
     r_num = _abs2(_mul(g_b, m11) + _mul(g_b_ref, m01))
     parts = (gr * _abs2(chi_r) * r_num, gr * _abs2(chi_r_ref) * r_num,
              gm * _abs2(_mul(g_a, chi_m)) * _abs2(m11), gm * _abs2(_mul(g_a_ref, chi_m_ref)) * _abs2(m01))
@@ -163,10 +165,9 @@ def psd(omega, config: SystemConfig, channels=ALL_CHANNELS):
     """Output PSD per unit noise level: the sum of |transfer|^2 over channels (a float at one omega)."""
     channels = _channels(channels)
     omega = _frequency(omega, grid=True)
-    g_a, g_b, inv, inv_ref = _pump_frame(config, *_drives(config), omega)
-    out = _psd(config, omega, config.drive_tm.detuning, config.drive_te.detuning, complex(g_a), complex(g_b),
-               inv, inv_ref, channels)
-    return out if isinstance(out, np.ndarray) else float(out)
+    frame = _pump_frame(config, *_drives(config), omega)
+    with _quiet(omega):  # _psd reports a non-finite cell
+        return _psd(config, omega, config.drive_tm.detuning, config.drive_te.detuning, *frame, channels)
 
 
 def psd_map(config_template: SystemConfig, omega_grid, detuning_grid, swept: str = "TE",
@@ -196,7 +197,7 @@ def psd_map(config_template: SystemConfig, omega_grid, detuning_grid, swept: str
     for lo in range(0, detuning_grid.size, rows):
         block = slice(lo, lo + rows)
         dets = detunings(detuning_grid[block, None])
-        g_a, g_b, inv, inv_ref = _pump_frame(config_template, *strengths, *dets, omega_grid)
-        g_a, g_b = np.broadcast_arrays(g_a, g_b)  # the unswept one is a scalar: _mul's exact steps need arrays
-        out[block] = _psd(config_template, omega_grid, *dets, g_a, g_b, inv, inv_ref, channels)
+        frame = _pump_frame(config_template, *strengths, *dets, omega_grid)
+        with _quiet(omega_grid):  # _psd reports a non-finite cell
+            out[block] = _psd(config_template, omega_grid, *dets, *frame, channels)
     return out

@@ -385,6 +385,24 @@ def test_near_singular_spectrum_exits_3(tmp_path, monkeypatch, capsys):
     assert not list(tmp_path.iterdir())
 
 
+@pytest.mark.parametrize("argv, message", [
+    (["self-energy", "--preset", "fig2b", "--set", "drive_tm.effective_strength=1e200",
+      "--set", "tm_grid=-1e8:1e8:3", "--set", "te_grid=-1e8:1e8:3"],
+     "self-energy 'mm' evaluated non-finite at detuning_tm -100000000.0, detuning_te -100000000.0"),
+    # mm alone is finite: the overflowing rr must not leave mm's file behind
+    (["self-energy", "--preset", "fig2a", "--set", "drive_te.effective_strength=1e200",
+      "--set", "parts=mm,rr", "--set", "tm_grid=-1e8:1e8:3", "--set", "te_grid=-1e8:1e8:3"],
+     "self-energy 'rr' evaluated non-finite"),
+    (["find-ep", "--preset", "fig5", "--set", "region=[[1e154,1e155],[-1e7,1e7]]"],
+     "p_in = 1e+155, whose square overflows"),
+])
+def test_overflow_exits_3_with_no_artifact(tmp_path, capsys, argv, message):
+    assert cli.main(argv + ["--format", "csv,json", "--out", str(tmp_path / "x")]) == 3
+    err = json.loads(capsys.readouterr().err)["error"]
+    assert err["type"] == "numeric" and message in err["message"]
+    assert not list(tmp_path.iterdir())
+
+
 def test_grid_triplet_parsing():
     assert cli._parse_value("1e6:2e6:5") == [1e6, 2e6, 5]
     assert cli._parse_value("true") is True

@@ -15,7 +15,7 @@ from magnomech.errors import ConfigError, NumericsError
 from magnomech.model import effective_couplings, susceptibility
 from magnomech.presets import get_preset
 
-from conftest import build_config, random_config
+from conftest import build_config, numpy_config, random_config
 
 # regression anchor for the search in the default window (found by the
 # coarse |D| grid scan and confirmed by Newton refinement on first build)
@@ -134,26 +134,25 @@ def test_hamiltonian_structure_matches_manual_assembly():
     assert h[1, 0] == pytest.approx(-1j * g.g_a * g.g_b * chi, rel=1e-14)
 
 
-def test_plane_helper_ties_strengths():
-    cfg = get_preset("fig5").config
-    h = hamiltonian_on_plane(cfg, 5e11, -2e7)
-    manual = build_hamiltonian(
-        cfg.with_strengths(tm=5e11, te=5e11).with_drive_detunings(te=-2e7))
-    assert np.array_equal(h, manual)
-    tied = hamiltonian_on_plane(cfg, 5e11, -2e7, tie_tm_detuning=True)
-    manual_tied = build_hamiltonian(
-        cfg.with_strengths(tm=5e11, te=5e11).with_drive_detunings(te=-2e7, tm=-2e7))
-    assert np.array_equal(tied, manual_tied)
-    # a mesh evaluates in one call, each cell bit-identical to its rebuilt config
+def test_plane_helper_ties_strengths(rng):
+    # on the fig5 config and on seeded draws built from Python floats and from numpy scalars, untied and
+    # tied: a point and every cell of a mesh carry the bits of build_hamiltonian on the rebuilt config
+    configs = [get_preset("fig5").config] + [random_config(rng) for _ in range(3)]
+    configs += [numpy_config(rng)[0] for _ in range(3)]
     p_mesh = np.linspace(0.1e12, 1.4e12, 5)
     d_mesh = np.linspace(-6e7, 1e7, 4)
-    for tie in (False, True):
-        stack = hamiltonian_on_plane(cfg, p_mesh[:, None], d_mesh[None, :], tie_tm_detuning=tie)
-        assert stack.shape == (5, 4, 2, 2)
-        for i, p in enumerate(p_mesh):
-            for j, d in enumerate(d_mesh):
-                rebuilt = cfg.with_strengths(tm=p, te=p).with_drive_detunings(te=d, tm=d if tie else None)
-                assert np.array_equal(stack[i, j], build_hamiltonian(rebuilt))
+    for cfg in configs:
+        for tie in (False, True):
+            h = hamiltonian_on_plane(cfg, 5e11, -2e7, tie_tm_detuning=tie)
+            manual = build_hamiltonian(
+                cfg.with_strengths(tm=5e11, te=5e11).with_drive_detunings(te=-2e7, tm=-2e7 if tie else None))
+            assert np.array_equal(h, manual)
+            stack = hamiltonian_on_plane(cfg, p_mesh[:, None], d_mesh[None, :], tie_tm_detuning=tie)
+            assert stack.shape == (5, 4, 2, 2)
+            for i, p in enumerate(p_mesh):
+                for j, d in enumerate(d_mesh):
+                    rebuilt = cfg.with_strengths(tm=p, te=p).with_drive_detunings(te=d, tm=d if tie else None)
+                    assert np.array_equal(stack[i, j], build_hamiltonian(rebuilt))
 
 
 def test_zero_drive_hamiltonian_is_bare_and_diagonal():
@@ -289,3 +288,19 @@ def test_monodromy_swap_around_ep_and_not_elsewhere():
     cfg = get_preset("fig5").config
     assert monodromy_swapped(cfg, (EP_P_IN, EP_DELTA), radius=(0.3e11, 0.3e7))
     assert not monodromy_swapped(cfg, (0.87e12, -5.5e6), radius=(1e11, 1e6))
+
+
+def test_overflowing_drive_raises_numerics_error():
+    # |g_b|^2 overflows to inf, never to a Python OverflowError, and the matrix check reports it
+    fig2a = get_preset("fig2a").config
+    for p_in in (1e200, np.array([1e11, 1e200])):
+        with pytest.raises(NumericsError, match="effective 2x2 matrix evaluated non-finite"):
+            hamiltonian_on_plane(fig2a, p_in, 0.0)
+    with pytest.raises(NumericsError, match="effective 2x2 matrix evaluated non-finite"):
+        build_hamiltonian(fig2a.with_strengths(tm=1e200, te=1e200))
+
+
+def test_ep_search_region_whose_square_overflows_is_a_numerics_error():
+    cfg = get_preset("fig5").config
+    with pytest.raises(NumericsError, match=r"p_in = 1e\+155, whose square overflows"):
+        find_exceptional_points(cfg, ((1e154, 1e155), (-1e7, 1e7)))

@@ -12,7 +12,7 @@ from magnomech.model import (
 )
 
 import magnomech as mm
-from conftest import build_config, numpy_config
+from conftest import build_config, numpy_config, random_config
 
 # resonant drive at critical coupling: strength * sqrt(2*(kappa/2)) / kappa
 COUPLING_ORACLE = 2.2360679774997897e8
@@ -115,6 +115,21 @@ def test_point_functions_on_numpy_built_config_equal_float_twin_bit_for_bit(rng)
         args = rng.uniform(0.4e9, 2.0e9), rng.uniform(5e10, 1.5e12), rng.uniform(-6e7, 1e7)
         # repr is exact for floats and tells -0.0 from 0.0
         assert repr(_point_values(built, *args)) == repr(_point_values(twin, *args))
+
+
+def test_point_functions_return_python_types(rng):
+    """Point calls compute in Python scalars: no numpy scalar reaches a caller, also from a numpy-built config."""
+    for cfg in [random_config(rng) for _ in range(5)] + [numpy_config(rng)[0] for _ in range(5)]:
+        omega = rng.uniform(0.4e9, 2.0e9)
+        g = mm.effective_couplings(cfg)
+        assert type(g.g_a) is complex and type(g.g_b) is complex
+        w_m, w_r = cfg.magnon.omega, cfg.phonon.omega
+        for value in (mm.sigma_rr(w_r, cfg), mm.sigma_mm(w_m, cfg), mm.sigma_mr(w_m, cfg), mm.sigma_rm(w_m, cfg)):
+            assert type(value) is complex
+        for response in (mm.linear_system_response(omega, cfg), mm.closed_form_response(omega, cfg)):
+            assert all(type(value) is complex for value in response.values())
+        assert type(mm.psd(omega, cfg)) is float
+        assert type(mm.discriminant(mm.build_hamiltonian(cfg))) is complex
 
 
 def test_drive_validation():

@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from magnomech.errors import ConfigError
+from magnomech.errors import ConfigError, NumericsError
 from magnomech.model import effective_couplings
 from magnomech.self_energy import (
     sigma_mm,
@@ -11,7 +11,9 @@ from magnomech.self_energy import (
     sweep_self_energy,
 )
 
-from conftest import build_config, random_config
+from magnomech.presets import get_preset
+
+from conftest import build_config, numpy_config, random_config
 
 
 def test_mechanical_sigma_vanishes_on_te_resonance():
@@ -80,17 +82,24 @@ def test_sigma_refuses_a_bad_frequency_naming_omega(sigma, omega):
         sigma(omega, build_config(delta_te=-1e7))
 
 
-def test_sweep_cross_product_row_major():
-    # every cell of every component equals the point function on the rebuilt config, TM the outer axis
+def test_sweep_cross_product_row_major(rng):
+    # every cell of every component equals the point function on the rebuilt config, TM the outer axis,
+    # for a fixed config and for seeded draws built from Python floats and from numpy scalars;
+    # the diagonal (tied) sweep's cells equal it too
     tm = np.linspace(-4e7, 3e7, 6)
     te = np.linspace(2e7, -5e7, 5)
-    base = build_config(strength_tm=8e11, strength_te=5e11, delta_tm=-3e6)
-    for which, fn in (("rr", sigma_rr), ("mm", sigma_mm), ("mr", sigma_mr), ("rm", sigma_rm)):
-        omega = base.phonon.omega if which == "rr" else base.magnon.omega
-        sigma = sweep_self_energy(base, tm, te, which)
-        assert sigma.shape == (tm.size * te.size,) and sigma.dtype == complex
-        for k, value in enumerate(sigma.tolist()):
-            assert value == fn(omega, base.with_drive_detunings(tm=tm[k // te.size], te=te[k % te.size]))
+    configs = [build_config(strength_tm=8e11, strength_te=5e11, delta_tm=-3e6)]
+    configs += [random_config(rng) for _ in range(3)] + [numpy_config(rng)[0] for _ in range(3)]
+    for base in configs:
+        for which, fn in (("rr", sigma_rr), ("mm", sigma_mm), ("mr", sigma_mr), ("rm", sigma_rm)):
+            omega = base.phonon.omega if which == "rr" else base.magnon.omega
+            sigma = sweep_self_energy(base, tm, te, which)
+            assert sigma.shape == (tm.size * te.size,) and sigma.dtype == complex
+            for k, value in enumerate(sigma.tolist()):
+                assert value == fn(omega, base.with_drive_detunings(tm=tm[k // te.size], te=te[k % te.size]))
+            tied = sweep_self_energy(base, tm[:5], te, which, diagonal=True)
+            for d_tm, d_te, value in zip(tm, te, tied.tolist()):
+                assert value == fn(omega, base.with_drive_detunings(tm=d_tm, te=d_te))
 
 
 def test_sweep_diagonal_mode():
@@ -115,3 +124,30 @@ def test_sweep_validates_grids_and_component():
     with pytest.raises(ConfigError):
         sweep_self_energy(cfg, [0.0], [0.0], "xy")
 
+
+
+@pytest.mark.parametrize("which", ["rr", "mm", "mr", "rm"])
+def test_overflowing_drive_is_reported_not_returned(which):
+    # |g|^2 ~ 1e392 overflows: the point function and the sweep raise, naming the component and the cell
+    cfg = get_preset("fig2a").config.with_strengths(tm=1e200, te=1e200)
+    fn = {"rr": sigma_rr, "mm": sigma_mm, "mr": sigma_mr, "rm": sigma_rm}[which]
+    omega = cfg.phonon.omega if which == "rr" else cfg.magnon.omega
+    cell = (f"at detuning_tm {cfg.drive_tm.detuning!r}, detuning_te {cfg.drive_te.detuning!r}, "
+            f"omega {omega!r}")
+    with pytest.raises(NumericsError, match=f"self-energy '{which}' evaluated non-finite {cell}"):
+        fn(omega, cfg)
+    first = f"at detuning_tm -100000000.0, detuning_te -100000000.0, omega {omega!r}"
+    with pytest.raises(NumericsError, match=f"self-energy '{which}' evaluated non-finite {first}"):
+        sweep_self_energy(cfg, [-1e8, 1e8], [-1e8, 1e8], which)
+
+
+def test_sweep_names_its_first_non_finite_cell():
+    # |g_b|^2 overflows at TE detuning 0 only, so the rr sweep fails at its second cell, as the point does there
+    cfg = build_config(strength_te=1e158)
+    tm, te = [-1e6, 1e6], [-1e8, 0.0, 1e8]
+    assert np.isfinite(sigma_rr(cfg.phonon.omega, cfg.with_drive_detunings(tm=-1e6, te=-1e8)))
+    message = "self-energy 'rr' evaluated non-finite at detuning_tm -1000000.0, detuning_te 0.0, omega 1150000000.0"
+    with pytest.raises(NumericsError, match=message):
+        sweep_self_energy(cfg, tm, te, "rr")
+    with pytest.raises(NumericsError, match=message):
+        sigma_rr(cfg.phonon.omega, cfg.with_drive_detunings(tm=-1e6, te=0.0))

@@ -191,3 +191,18 @@ def test_weak_drive_two_band_structure():
     centers = grid[peaks]
     assert centers[0] == pytest.approx(8.7e8, abs=5e6)
     assert centers[1] == pytest.approx(1.15e9, abs=5e6)
+
+
+def test_overflowing_drive_raises_numerics_error_on_every_route():
+    # both strengths 1e200: |g_b|^2 overflows to inf in Python floats instead of raising OverflowError
+    cfg = get_preset("fig4a").config.with_strengths(tm=1e200, te=1e200)
+    with pytest.raises(NumericsError, match="closed-form response evaluated non-finite"):
+        closed_form_response(1e9, cfg)
+    with pytest.raises(NumericsError, match="frequency-domain system near-singular"):
+        linear_system_response(1e9, cfg)
+    # the scalar and grid PSD report the cell, without numpy overflow warnings on the way
+    for omega in (1e9, np.array([0.9e9, 1e9])):
+        with pytest.raises(NumericsError, match="near-singular: condition number nan at detuning_tm 0.0"):
+            psd(omega, cfg)
+    with pytest.raises(NumericsError, match="near-singular: condition number nan"):
+        psd_map(cfg, [0.9e9, 1e9], [-1e7, 0.0])
