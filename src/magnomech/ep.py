@@ -20,8 +20,8 @@ import math
 import numpy as np
 
 from .errors import ConfigError, NumericsError
-from .model import (SystemConfig, _abs, _checked_grid, _drives, _every, _finite, _mul, _pump_frame, _quiet,
-                    _reciprocal)
+from .model import (SystemConfig, _abs, _at_first, _checked_grid, _drives, _every, _finite, _mul, _pump_frame,
+                    _quiet, _reciprocal)
 from .self_energy import _dressing, _mediated
 
 GAP_RTOL = 1e-6  # eigenvalue gap, relative to max(|mean eigenvalue|, 1), at or below which a pair is degenerate
@@ -59,25 +59,30 @@ class EpLocation:
 def _operator(config, strength_tm, strength_te, det_tm, det_te):
     """Reduced matrix (..., 2, 2) over broadcast strengths and detunings, basis (phonon, magnon).
 
-    Scalars give one matrix; each cell of a stack carries the bits of its own point evaluation.
+    Scalars give one matrix, built from Python complexes; each cell of a stack carries the bits of its
+    own point evaluation. NumericsError if an entry is not finite.
     """
     # every dressing term is frozen at the magnon resonance
     g_a, g_b, inv, inv_ref = _pump_frame(config, strength_tm, strength_te, det_tm, det_te, config.magnon.omega)
     chi, chi_ref = _reciprocal(inv), _reciprocal(inv_ref)
     del inv, inv_ref  # a loop-transport batch holds 2^16 cells: drop each 1 MB inverse before the 2x2 stack
     args = (g_a, g_b, chi, chi_ref)
+
+    terms = (lambda: config.phonon.omega - 0.5j * config.phonon.gamma + _dressing("rr", *args),
+             # conj(g_a)*g_b*chi; eliminating the 6x6 system of spectrum gives g_a*conj(g_b)*chi
+             # (sigma_rm) here instead, and the two differ unless g_a*conj(g_b) is real
+             lambda: _mediated(g_a.conjugate(), g_b, chi),
+             lambda: _dressing("mr", *args),
+             lambda: config.magnon.omega - 0.5j * config.magnon.gamma + _dressing("mm", *args))
+    if not (isinstance(g_a, np.ndarray) or isinstance(g_b, np.ndarray)):
+        h00, h01, h10, h11 = (term() for term in terms)
+        if not (cmath.isfinite(h00) and cmath.isfinite(h01) and cmath.isfinite(h10) and cmath.isfinite(h11)):
+            raise NumericsError("effective 2x2 matrix evaluated non-finite")
+        return np.array(((h00, h01), (h10, h11)), dtype=complex)
     h = np.empty(np.broadcast_shapes(np.shape(g_a), np.shape(g_b)) + (2, 2), dtype=complex)
-    with _quiet(g_a, g_b, chi):  # an overflowing cell is reported by _checked
-        h[..., 0, 0] = config.phonon.omega - 0.5j * config.phonon.gamma + _dressing("rr", *args)
-        # conj(g_a)*g_b*chi; eliminating the 6x6 system of spectrum gives g_a*conj(g_b)*chi
-        # (sigma_rm) here instead, and the two differ unless g_a*conj(g_b) is real
-        h[..., 0, 1] = _mediated(g_a.conjugate(), g_b, chi)
-        h[..., 1, 0] = _dressing("mr", *args)
-        h[..., 1, 1] = config.magnon.omega - 0.5j * config.magnon.gamma + _dressing("mm", *args)
-    return h
-
-
-def _checked(h):
+    with _quiet(g_a, g_b, chi):  # an overflowing cell is reported below
+        for (i, j), term in zip(((0, 0), (0, 1), (1, 0), (1, 1)), terms):
+            h[..., i, j] = term()  # one entry at a time: a stack holds one entry's temporaries
     if not _finite(h):
         raise NumericsError("effective 2x2 matrix evaluated non-finite")
     return h
@@ -90,7 +95,7 @@ def build_hamiltonian(config: SystemConfig) -> np.ndarray:
     mode; off-diagonal: the light-mediated couplings. All dressing terms
     are frozen at the magnon resonance.
     """
-    return _checked(_operator(config, *_drives(config)))
+    return _operator(config, *_drives(config))
 
 
 def hamiltonian_on_plane(config_template: SystemConfig, p_in, delta,
@@ -102,7 +107,7 @@ def hamiltonian_on_plane(config_template: SystemConfig, p_in, delta,
     if not (_finite(p_in) and _finite(delta) and _every(p_in >= 0)):
         raise ConfigError("plane points need finite drive strengths >= 0 and finite detunings")
     det_tm = delta if tie_tm_detuning else config_template.drive_tm.detuning
-    return _checked(_operator(config_template, p_in, p_in, det_tm, delta))
+    return _operator(config_template, p_in, p_in, det_tm, delta)
 
 
 def _entries(h):
@@ -112,18 +117,54 @@ def _entries(h):
     return h[..., 0, 0], h[..., 0, 1], h[..., 1, 0], h[..., 1, 1]
 
 
-def discriminant(h):
-    """Quadratic discriminant of one 2x2 matrix (a complex) or of a stack; eigenvalues coalesce at its zeros."""
-    h00, h01, h10, h11 = _entries(np.asarray(h, dtype=complex))
+def _discriminant(h00, h01, h10, h11):
     return _mul(h00 - h11, h00 - h11) + _mul(4 * h01, h10)
 
 
+def _sqrt(d):
+    """Principal square root: numpy's on arrays, and on a complex cmath's where it has the bits numpy's would.
+
+    The two round apart on the imaginary axis and where a part of the root is subnormal, so a complex with
+    a non-zero part of modulus 1e-150 or less goes to numpy.
+    """
+    if isinstance(d, np.ndarray):
+        return np.sqrt(d)
+    if abs(d.real) > 1e-150 and (d.imag == 0 or abs(d.imag) > 1e-150):
+        return cmath.sqrt(d)
+    return complex(np.sqrt(d))
+
+
+def _roots(h00, h01, h10, h11, **where):
+    """(lambda_plus, lambda_minus) of the entries, plus by the principal root: Python complexes or arrays.
+
+    A non-finite eigenvalue raises NumericsError: finite entries give one where the discriminant overflows.
+    On a stack the message names the first such cell by the arrays in where, or by its index.
+    """
+    with _quiet(h00, h01):  # an overflowing cell is reported below
+        tr, sq = h00 + h11, _sqrt(_discriminant(h00, h01, h10, h11))
+        plus, minus = (tr + sq) / 2, (tr - sq) / 2
+    if not (_finite(plus) and _finite(minus)):
+        at = ""
+        if isinstance(plus, np.ndarray):
+            bad = ~(np.isfinite(plus) & np.isfinite(minus))
+            cell = zip(where, _at_first(bad, *where.values())) if where else [("index", np.argwhere(bad)[0].tolist())]
+            at = " at " + ", ".join(f"{name} {value!r}" for name, value in cell)
+        raise NumericsError(f"2x2 eigenvalues evaluated non-finite{at}: the discriminant overflows or an entry is "
+                            "not finite")
+    return plus, minus
+
+
+def discriminant(h):
+    """Quadratic discriminant of one 2x2 matrix (a complex) or of a stack; eigenvalues coalesce at its zeros."""
+    return _discriminant(*_entries(np.asarray(h, dtype=complex)))
+
+
 def eigenvalues(h):
-    """Closed-form (lambda_plus, lambda_minus) of one 2x2 matrix or a stack; plus takes the principal root."""
-    h00, _, _, h11 = _entries(np.asarray(h, dtype=complex))
-    tr = h00 + h11
-    sq = np.sqrt(discriminant(h))
-    return (tr + sq) / 2, (tr - sq) / 2
+    """Closed-form (lambda_plus, lambda_minus) of one 2x2 matrix, as Python complexes, or of a stack.
+
+    plus takes the principal root. NumericsError if an eigenvalue is not finite.
+    """
+    return _roots(*_entries(np.asarray(h, dtype=complex)))
 
 
 def _eigvec(h00, h01, h10, h11, lam):
@@ -141,17 +182,18 @@ def _eigvec(h00, h01, h10, h11, lam):
 
 
 def eigenpairs(h) -> EigenPair:
-    """Closed-form eigen-decomposition of the 2x2 matrix.
+    """Closed-form eigen-decomposition of the 2x2 matrix, computed in Python scalars.
 
-    lambda_plus carries the principal square root of the discriminant;
-    continuity tracking along sweeps is the surface code's job, not this
-    function's.
+    lambda_plus carries the principal square root of the discriminant, with
+    the bits that eigenvalues gives the same matrix in a stack; continuity
+    tracking along sweeps is the surface code's job, not this function's.
+    NumericsError if the matrix or an eigenvalue is not finite.
     """
     h = np.asarray(h, dtype=complex)
     entries = h.ravel().tolist()
     if h.shape != (2, 2) or not all(map(cmath.isfinite, entries)):
         raise NumericsError("eigenpairs expects a finite 2x2 matrix")
-    lam_p, lam_m = (complex(lam) for lam in eigenvalues(h))
+    lam_p, lam_m = _roots(*entries)
     return EigenPair(lambda_plus=lam_p, lambda_minus=lam_m,
                      v_plus=_eigvec(*entries, lam_p), v_minus=_eigvec(*entries, lam_m))
 
@@ -196,8 +238,9 @@ def riemann_surface(config_template: SystemConfig, p_grid, delta_grid,
     """
     p_grid = _checked_grid("p_grid", p_grid, increasing=True)
     delta_grid = _checked_grid("delta_grid", delta_grid, increasing=True)
-    h = hamiltonian_on_plane(config_template, p_grid[:, None], delta_grid[None, :], tie_tm_detuning)
-    plus, minus = eigenvalues(h)
+    p_in, delta = p_grid[:, None], delta_grid[None, :]
+    plus, minus = _roots(*_entries(hamiltonian_on_plane(config_template, p_in, delta, tie_tm_detuning)),
+                         p_in=p_in, delta=delta)
     column = _track(plus[:, 0], minus[:, 0])
     lam1, lam2 = (lam.T for lam in _track(plus.T, minus.T, column))
     scale = np.maximum(_abs(lam1 + lam2) / 2, 1.0)
@@ -294,8 +337,9 @@ def monodromy_swapped(config_template: SystemConfig, center, radius, tie_tm_detu
     to itself.
     """
     thetas = np.linspace(0.0, 2 * np.pi, MONODROMY_SAMPLES)
-    h = hamiltonian_on_plane(config_template, *_ellipse(center, radius, thetas), tie_tm_detuning)
-    plus, minus = eigenvalues(h)
+    p_in, delta = _ellipse(center, radius, thetas)
+    plus, minus = _roots(*_entries(hamiltonian_on_plane(config_template, p_in, delta, tie_tm_detuning)),
+                         p_in=p_in, delta=delta)
     # one step more, back to the start pair: after an exchanging circuit it arrives swapped
     first, _ = _track(np.append(plus, plus[0]), np.append(minus, minus[0]))
     return bool(first[-1] != first[0])

@@ -51,6 +51,11 @@ def numpy_config(rng):
     return build_config(**draws), build_config(**{key: float(value) for key, value in draws.items()})
 
 
+def bits(z):
+    """The exact bits of a complex, as the hex text of its parts: tells -0.0 from 0.0."""
+    return z.real.hex(), z.imag.hex()
+
+
 @pytest.fixture
 def rng():
     return np.random.default_rng(20260816)

@@ -4,6 +4,7 @@ import json
 import os
 import subprocess
 import sys
+import warnings
 
 import numpy as np
 import pytest
@@ -395,11 +396,29 @@ def test_near_singular_spectrum_exits_3(tmp_path, monkeypatch, capsys):
      "self-energy 'rr' evaluated non-finite"),
     (["find-ep", "--preset", "fig5", "--set", "region=[[1e154,1e155],[-1e7,1e7]]"],
      "p_in = 1e+155, whose square overflows"),
+    # a finite operator whose discriminant overflows: no nan eigenvalue cell is written
+    (["surface", "--preset", "fig5", "--set", "p_grid=1e99:1e100:2", "--set", "delta_grid=-1e7:1e7:2"],
+     "2x2 eigenvalues evaluated non-finite at p_in 1e+99, delta -10000000.0"),
 ])
 def test_overflow_exits_3_with_no_artifact(tmp_path, capsys, argv, message):
     assert cli.main(argv + ["--format", "csv,json", "--out", str(tmp_path / "x")]) == 3
     err = json.loads(capsys.readouterr().err)["error"]
     assert err["type"] == "numeric" and message in err["message"]
+    assert not list(tmp_path.iterdir())
+
+
+@pytest.mark.parametrize("command, preset", [("coupling", "fig5"), ("self-energy", "fig2b")])
+def test_overflowing_coupling_exits_3_with_only_the_json_error(tmp_path, capsys, command, preset):
+    # under warnings as errors, no overflow warning may pre-empt the error or print above it
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        code = cli.main([command, "--preset", preset, "--set", "drive_tm.effective_strength=1.7e308",
+                         "--format", "csv,json", "--out", str(tmp_path / "x")])
+    assert code == 3
+    err = capsys.readouterr().err
+    assert err.count("\n") == 1
+    assert json.loads(err)["error"] == {"type": "numeric", "message": "effective coupling evaluated non-finite; "
+                                                                      "check drive and damping values"}
     assert not list(tmp_path.iterdir())
 
 

@@ -1,5 +1,6 @@
 import numpy as np
 import pytest
+from hypothesis import example, given, settings, strategies as st
 
 from magnomech.ep import (
     build_hamiltonian,
@@ -15,7 +16,7 @@ from magnomech.errors import ConfigError, NumericsError
 from magnomech.model import effective_couplings, susceptibility
 from magnomech.presets import get_preset
 
-from conftest import build_config, numpy_config, random_config
+from conftest import bits, build_config, numpy_config, random_config
 
 # regression anchor for the search in the default window (found by the
 # coarse |D| grid scan and confirmed by Newton refinement on first build)
@@ -105,6 +106,36 @@ def test_eigenvectors_match_the_array_reference(rng):
             assert np.max(np.abs(v - _reference_eigvec(h, lam))) <= 1e-15
             top = v[np.argmax(np.abs(v))]
             assert top.imag == 0 and top.real > 0
+
+
+_PART = st.one_of(st.sampled_from([0.0, -0.0, 1.0, -1.0, 2.0]), st.floats(-1e154, 1e154))
+_ENTRY = st.builds(complex, _PART, _PART)
+
+
+# small whole entries give discriminants on the imaginary axis, and tiny or lopsided ones roots with a
+# subnormal part, and there cmath.sqrt and numpy's complex sqrt round apart; entries near 1e154 overflow
+@settings(max_examples=150, derandomize=True, database=None, deadline=None)
+@given(st.lists(st.tuples(_ENTRY, _ENTRY, _ENTRY, _ENTRY), min_size=1, max_size=8))
+@example([(0j, 1 + 0j, 1j, 0j), (1j, 1j, 1 + 0j, 1j),
+          (6.732655185893089e-155 + 1.849454437394322e-154j, 0j, 0j, 0j),
+          (6.661973363857384e+42 + 0j, 9.344390977610807e-137 + 0j, -4.963394392442056e-137j, 0j),
+          (1.2e154 + 0j, 1e154j, 1e154 + 0j, 0j)])
+def test_point_eigenvalues_carry_the_bits_of_their_stack_cell(matrices):
+    """eigenpairs and eigenvalues of one matrix equal the cell of a stack bit for bit, or both raise."""
+    finite = []
+    for h in np.array(matrices, dtype=complex).reshape(-1, 2, 2):
+        try:
+            pair = eigenpairs(h)
+        except NumericsError:  # the discriminant overflows, and the stack route reports it too
+            with pytest.raises(NumericsError, match=r"non-finite at index \[0\]"):
+                eigenvalues(h[None])
+            continue
+        assert tuple(map(bits, eigenvalues(h))) == (bits(pair.lambda_plus), bits(pair.lambda_minus))
+        finite.append((h, pair))
+    if finite:
+        plus, minus = eigenvalues(np.array([h for h, _ in finite]))
+        for k, (_, pair) in enumerate(finite):
+            assert (bits(pair.lambda_plus), bits(pair.lambda_minus)) == (bits(plus[k]), bits(minus[k]))
 
 
 def test_eigenpairs_rejects_bad_input():
@@ -298,6 +329,22 @@ def test_overflowing_drive_raises_numerics_error():
             hamiltonian_on_plane(fig2a, p_in, 0.0)
     with pytest.raises(NumericsError, match="effective 2x2 matrix evaluated non-finite"):
         build_hamiltonian(fig2a.with_strengths(tm=1e200, te=1e200))
+
+
+def test_overflowing_eigenvalues_are_reported():
+    # finite matrices whose discriminant overflows: the point, stack, surface and loop routes all raise
+    h = build_hamiltonian(get_preset("fig4a").config.with_strengths(tm=1e100, te=1e100))
+    assert np.isfinite(h).all()
+    for solve in (eigenpairs, eigenvalues):
+        with pytest.raises(NumericsError, match="2x2 eigenvalues evaluated non-finite: "):
+            solve(h)
+    with pytest.raises(NumericsError, match=r"non-finite at index \[1\]"):
+        eigenvalues(np.stack([np.eye(2), h]))
+    fig5 = get_preset("fig5").config
+    with pytest.raises(NumericsError, match=r"non-finite at p_in 1e\+99, delta -10000000.0"):
+        riemann_surface(fig5, [1e99, 1e100], [-1e7, 1e7])
+    with pytest.raises(NumericsError, match=r"non-finite at p_in 1.1e\+99, delta 0.0"):
+        monodromy_swapped(fig5, (1e99, 0.0), radius=(1e98, 1e6))
 
 
 def test_ep_search_region_whose_square_overflows_is_a_numerics_error():

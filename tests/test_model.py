@@ -1,18 +1,20 @@
 import numpy as np
 import pytest
+from hypothesis import example, given, settings, strategies as st
 
-from magnomech.errors import ConfigError
+from magnomech.errors import ConfigError, NumericsError
 from magnomech.model import (
     OscillatorMode,
     PumpDrive,
     SystemConfig,
+    _pump_coupling,
     critical_mode,
     effective_couplings,
     susceptibility,
 )
 
 import magnomech as mm
-from conftest import build_config, numpy_config, random_config
+from conftest import bits, build_config, numpy_config, random_config
 
 # resonant drive at critical coupling: strength * sqrt(2*(kappa/2)) / kappa
 COUPLING_ORACLE = 2.2360679774997897e8
@@ -129,7 +131,46 @@ def test_point_functions_return_python_types(rng):
         for response in (mm.linear_system_response(omega, cfg), mm.closed_form_response(omega, cfg)):
             assert all(type(value) is complex for value in response.values())
         assert type(mm.psd(omega, cfg)) is float
+        h = mm.hamiltonian_on_plane(cfg, rng.uniform(5e10, 1.5e12), rng.uniform(-6e7, 1e7))
+        assert all(type(entry) is complex for entry in h.ravel().tolist())
         assert type(mm.discriminant(mm.build_hamiltonian(cfg))) is complex
+        pair = mm.eigenpairs(h)
+        for value in (*mm.eigenvalues(h), pair.lambda_plus, pair.lambda_minus):
+            assert type(value) is complex
+
+
+def _coupling_bits(mode, detuning, strength):
+    """The bits of the coupling, of its one cell on arrays, or "NumericsError"."""
+    try:
+        g = _pump_coupling(mode, detuning, strength)
+    except NumericsError:
+        return "NumericsError"
+    return bits(g[0] if isinstance(g, np.ndarray) else g)
+
+
+# both quotient branches (|detuning| below and above gamma), signed zero detunings and zero strength;
+# a large strength over a small gamma overflows the quotient, and every path reports it
+@settings(max_examples=400, derandomize=True, database=None, deadline=None)
+@given(strength=st.floats(0.0, 1e300), detuning=st.floats(-1e300, 1e300),
+       gamma=st.floats(1e-300, 1e16, exclude_min=True), ext=st.floats(0.0, 1.0))
+@example(strength=6e11, detuning=5e6, gamma=2e7, ext=0.5)
+@example(strength=6e11, detuning=-4e7, gamma=2e7, ext=0.5)
+@example(strength=6e11, detuning=0.0, gamma=2e7, ext=0.5)
+@example(strength=6e11, detuning=-0.0, gamma=2e7, ext=0.5)
+@example(strength=0.0, detuning=-3e7, gamma=2e7, ext=0.5)
+@example(strength=1e300, detuning=1e-300, gamma=1e-300, ext=0.5)
+def test_pump_coupling_point_carries_the_bits_of_its_grid_cell(strength, detuning, gamma, ext):
+    """A point coupling, in Python floats, equals its array cell and numpy's scalar quotient bit for bit."""
+    mode = OscillatorMode("tm_photon", 0.0, gamma, gamma * ext)
+    point = _coupling_bits(mode, detuning, strength)
+    assert _coupling_bits(mode, np.array([detuning]), strength) == point
+    assert _coupling_bits(mode, detuning, np.array([strength])) == point
+    with np.errstate(all="ignore"):  # numpy scalars compute in numpy's scalar arithmetic, which warns on overflow
+        assert _coupling_bits(mode, np.float64(detuning), np.float64(strength)) == point
+        if point != "NumericsError":  # numpy's scalar quotient, by which the coupling was computed before
+            assert bits(complex(strength * np.sqrt(2 * mode.gamma_ext) / (-1j * detuning + mode.gamma))) == point
+    if point != "NumericsError":
+        assert type(_pump_coupling(mode, detuning, strength)) is complex
 
 
 def test_drive_validation():
