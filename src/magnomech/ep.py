@@ -56,6 +56,17 @@ class EpLocation:
         }
 
 
+def _operator_entries(config, g_a, g_b, chi, chi_ref):
+    """h00, h01, h10, h11, each computed as it is taken, so a stack holds one entry's temporaries at a time."""
+    args = (g_a, g_b, chi, chi_ref)
+    yield config.phonon.omega - 0.5j * config.phonon.gamma + _dressing("rr", *args)
+    # conj(g_a)*g_b*chi; eliminating the 6x6 system of spectrum gives g_a*conj(g_b)*chi
+    # (sigma_rm) here instead, and the two differ unless g_a*conj(g_b) is real
+    yield _mediated(g_a.conjugate(), g_b, chi)
+    yield _dressing("mr", *args)
+    yield config.magnon.omega - 0.5j * config.magnon.gamma + _dressing("mm", *args)
+
+
 def _operator(config, strength_tm, strength_te, det_tm, det_te):
     """Reduced matrix (..., 2, 2) over broadcast strengths and detunings, basis (phonon, magnon).
 
@@ -66,23 +77,16 @@ def _operator(config, strength_tm, strength_te, det_tm, det_te):
     g_a, g_b, inv, inv_ref = _pump_frame(config, strength_tm, strength_te, det_tm, det_te, config.magnon.omega)
     chi, chi_ref = _reciprocal(inv), _reciprocal(inv_ref)
     del inv, inv_ref  # a loop-transport batch holds 2^16 cells: drop each 1 MB inverse before the 2x2 stack
-    args = (g_a, g_b, chi, chi_ref)
-
-    terms = (lambda: config.phonon.omega - 0.5j * config.phonon.gamma + _dressing("rr", *args),
-             # conj(g_a)*g_b*chi; eliminating the 6x6 system of spectrum gives g_a*conj(g_b)*chi
-             # (sigma_rm) here instead, and the two differ unless g_a*conj(g_b) is real
-             lambda: _mediated(g_a.conjugate(), g_b, chi),
-             lambda: _dressing("mr", *args),
-             lambda: config.magnon.omega - 0.5j * config.magnon.gamma + _dressing("mm", *args))
+    entries = _operator_entries(config, g_a, g_b, chi, chi_ref)
     if not (isinstance(g_a, np.ndarray) or isinstance(g_b, np.ndarray)):
-        h00, h01, h10, h11 = (term() for term in terms)
+        h00, h01, h10, h11 = entries  # one np.array of Python complexes: numpy slice writes cost more per point
         if not (cmath.isfinite(h00) and cmath.isfinite(h01) and cmath.isfinite(h10) and cmath.isfinite(h11)):
             raise NumericsError("effective 2x2 matrix evaluated non-finite")
         return np.array(((h00, h01), (h10, h11)), dtype=complex)
     h = np.empty(np.broadcast_shapes(np.shape(g_a), np.shape(g_b)) + (2, 2), dtype=complex)
     with _quiet(g_a, g_b, chi):  # an overflowing cell is reported below
-        for (i, j), term in zip(((0, 0), (0, 1), (1, 0), (1, 1)), terms):
-            h[..., i, j] = term()  # one entry at a time: a stack holds one entry's temporaries
+        for i, j in ((0, 0), (0, 1), (1, 0), (1, 1)):
+            h[..., i, j] = next(entries)  # no name holds an entry while the next one is computed
     if not _finite(h):
         raise NumericsError("effective 2x2 matrix evaluated non-finite")
     return h
@@ -121,19 +125,6 @@ def _discriminant(h00, h01, h10, h11):
     return _mul(h00 - h11, h00 - h11) + _mul(4 * h01, h10)
 
 
-def _sqrt(d):
-    """Principal square root: numpy's on arrays, and on a complex cmath's where it has the bits numpy's would.
-
-    The two round apart on the imaginary axis and where a part of the root is subnormal, so a complex with
-    a non-zero part of modulus 1e-150 or less goes to numpy.
-    """
-    if isinstance(d, np.ndarray):
-        return np.sqrt(d)
-    if abs(d.real) > 1e-150 and (d.imag == 0 or abs(d.imag) > 1e-150):
-        return cmath.sqrt(d)
-    return complex(np.sqrt(d))
-
-
 def _roots(h00, h01, h10, h11, **where):
     """(lambda_plus, lambda_minus) of the entries, plus by the principal root: Python complexes or arrays.
 
@@ -141,7 +132,8 @@ def _roots(h00, h01, h10, h11, **where):
     On a stack the message names the first such cell by the arrays in where, or by its index.
     """
     with _quiet(h00, h01):  # an overflowing cell is reported below
-        tr, sq = h00 + h11, _sqrt(_discriminant(h00, h01, h10, h11))
+        tr, d = h00 + h11, _discriminant(h00, h01, h10, h11)
+        sq = np.sqrt(d) if isinstance(d, np.ndarray) else complex(np.sqrt(d))  # one rounding for both routes
         plus, minus = (tr + sq) / 2, (tr - sq) / 2
     if not (_finite(plus) and _finite(minus)):
         at = ""
@@ -182,7 +174,7 @@ def _eigvec(h00, h01, h10, h11, lam):
 
 
 def eigenpairs(h) -> EigenPair:
-    """Closed-form eigen-decomposition of the 2x2 matrix, computed in Python scalars.
+    """Closed-form eigen-decomposition of the 2x2 matrix, in Python scalars but for numpy's square root.
 
     lambda_plus carries the principal square root of the discriminant, with
     the bits that eigenvalues gives the same matrix in a stack; continuity

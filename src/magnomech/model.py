@@ -204,16 +204,18 @@ def _reciprocal(z):
     return out
 
 
-def _quotient(x, z):
-    """Real x over non-zero complex z: numpy's / on arrays, numpy's scaled division in Python floats on scalars.
+def _quotient(x, y, z):
+    """Real x*y over non-zero complex z: numpy's / on arrays, numpy's scaled division in Python floats on scalars.
 
     Python's own complex quotient scales differently, and rounds apart from numpy's in about two of five draws.
-    Neither path warns of an overflowing cell; the caller reports it.
+    The scalar steps have a grid cell's bits where numpy's complex division is the unfused Smith loop, as
+    test_pump_coupling_point_carries_the_bits_of_its_grid_cell checks; a build that fuses its multiply-adds
+    rounds apart. Neither path warns of an overflowing product or cell; the caller reports it.
     """
     if isinstance(x, np.ndarray) or isinstance(z, np.ndarray):
         with np.errstate(over="ignore", invalid="ignore"):
-            return x / z
-    re, im = z.real, z.imag
+            return x * y / z
+    x, re, im = float(x) * y, float(z.real), float(z.imag)  # numpy scalars would warn of an overflow
     if abs(re) >= abs(im):
         rat = im / re
         scl = 1.0 / (re + im * rat)
@@ -282,7 +284,7 @@ def _pump_coupling(mode: OscillatorMode, detuning, strength):
     A point is a Python complex computed in Python floats. _quotient divides by numpy's steps there,
     so the point carries the bits of its grid cell. A non-finite coupling raises NumericsError.
     """
-    g = _quotient(strength * math.sqrt(2 * mode.gamma_ext), -1j * detuning + mode.gamma)
+    g = _quotient(strength, math.sqrt(2 * mode.gamma_ext), -1j * detuning + mode.gamma)
     if not _finite(g):
         raise NumericsError("effective coupling evaluated non-finite; check drive and damping values")
     return g

@@ -407,13 +407,17 @@ def test_overflow_exits_3_with_no_artifact(tmp_path, capsys, argv, message):
     assert not list(tmp_path.iterdir())
 
 
-@pytest.mark.parametrize("command, preset", [("coupling", "fig5"), ("self-energy", "fig2b")])
-def test_overflowing_coupling_exits_3_with_only_the_json_error(tmp_path, capsys, command, preset):
+@pytest.mark.parametrize("argv", [
+    ["coupling", "--preset", "fig5", "--set", "drive_tm.effective_strength=1.7e308"],
+    ["self-energy", "--preset", "fig2b", "--set", "drive_tm.effective_strength=1.7e308"],
+    # an array of strengths whose last cell overflows the coupling's numerator
+    ["surface", "--preset", "fig5", "--set", "p_grid=1e304:1.7e308:2", "--set", "delta_grid=-1e7:1e7:2"],
+])
+def test_overflowing_coupling_exits_3_with_only_the_json_error(tmp_path, capsys, argv):
     # under warnings as errors, no overflow warning may pre-empt the error or print above it
     with warnings.catch_warnings():
         warnings.simplefilter("error")
-        code = cli.main([command, "--preset", preset, "--set", "drive_tm.effective_strength=1.7e308",
-                         "--format", "csv,json", "--out", str(tmp_path / "x")])
+        code = cli.main(argv + ["--format", "csv,json", "--out", str(tmp_path / "x")])
     assert code == 3
     err = capsys.readouterr().err
     assert err.count("\n") == 1

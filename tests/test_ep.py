@@ -113,7 +113,7 @@ _ENTRY = st.builds(complex, _PART, _PART)
 
 
 # small whole entries give discriminants on the imaginary axis, and tiny or lopsided ones roots with a
-# subnormal part, and there cmath.sqrt and numpy's complex sqrt round apart; entries near 1e154 overflow
+# subnormal part: there a scalar root other than numpy's (cmath.sqrt) rounds apart; entries near 1e154 overflow
 @settings(max_examples=150, derandomize=True, database=None, deadline=None)
 @given(st.lists(st.tuples(_ENTRY, _ENTRY, _ENTRY, _ENTRY), min_size=1, max_size=8))
 @example([(0j, 1 + 0j, 1j, 0j), (1j, 1j, 1 + 0j, 1j),

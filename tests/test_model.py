@@ -165,8 +165,8 @@ def test_pump_coupling_point_carries_the_bits_of_its_grid_cell(strength, detunin
     point = _coupling_bits(mode, detuning, strength)
     assert _coupling_bits(mode, np.array([detuning]), strength) == point
     assert _coupling_bits(mode, detuning, np.array([strength])) == point
-    with np.errstate(all="ignore"):  # numpy scalars compute in numpy's scalar arithmetic, which warns on overflow
-        assert _coupling_bits(mode, np.float64(detuning), np.float64(strength)) == point
+    assert _coupling_bits(mode, np.float64(detuning), np.float64(strength)) == point
+    with np.errstate(all="ignore"):  # numpy's scalar arithmetic warns on overflow
         if point != "NumericsError":  # numpy's scalar quotient, by which the coupling was computed before
             assert bits(complex(strength * np.sqrt(2 * mode.gamma_ext) / (-1j * detuning + mode.gamma))) == point
     if point != "NumericsError":
