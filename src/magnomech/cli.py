@@ -28,7 +28,7 @@ import numpy as np
 from . import encircle as enc
 from . import ep, output, presets, self_energy, spectrum
 from .errors import ConfigError, NumericsError
-from .model import SystemConfig, _number, effective_couplings
+from .model import SystemConfig, _count, _number, effective_couplings
 
 CONFIG_PREFIXES = ("tm_photon.", "te_photon.", "magnon.", "phonon.", "drive_tm.", "drive_te.")
 
@@ -188,22 +188,12 @@ def make_runspec(args) -> RunSpec:
                    out_stem=stem, formats=formats)
 
 
-def _count(key, value):
-    """A whole-number run value as an int; any other value raises ConfigError naming key."""
-    number = _number(key, value)
-    if number != int(number):
-        raise ConfigError(f"{key!r} must be a whole number, got {value!r}")
-    return int(number)
-
-
 def _linspace(triplet, name):
     try:
         lo, hi, n = triplet
     except (TypeError, ValueError) as exc:
         raise ConfigError(f"{name} must be a [lo, hi, count] triplet, got {triplet!r}") from exc
-    lo, hi, n = _number(f"{name} lo", lo), _number(f"{name} hi", hi), _count(f"{name} count", n)
-    if n < 1:
-        raise ConfigError(f"{name} count must be >= 1")
+    lo, hi, n = _number(f"{name} lo", lo), _number(f"{name} hi", hi), _count(f"{name} count", n, 1)
     return np.linspace(lo, hi, n)
 
 
@@ -311,10 +301,7 @@ def _region_from_run(run):
 
 
 def _ep_records(spec, region, tie):
-    run = spec.run_params
-    locations = ep.find_exceptional_points(
-        spec.config, region, seeds_per_axis=_count("seeds_per_axis", run["seeds_per_axis"]),
-        tie_tm_detuning=tie)
+    locations = ep.find_exceptional_points(spec.config, region, spec.run_params["seeds_per_axis"], tie)
     return [loc.to_record() for loc in locations]
 
 
@@ -356,16 +343,11 @@ def _run_find_ep(spec: RunSpec):
 
 
 def _loop_from_run(run):
-    """The LoopSpec of the run's loop keys, each of which every encircle preset states."""
+    """The LoopSpec of the run's loop keys, each of which every encircle preset states; LoopSpec checks them."""
     loop = run["loop"]
-
-    def num(key):
-        return _number(f"loop.{key}", loop[key])
-
-    return enc.LoopSpec(center=(num("center_p"), num("center_delta")),
-                        radius=(num("radius_p"), num("radius_delta")), direction=str(loop["direction"]),
-                        period=num("period"), start_phase=num("start_phase"),
-                        samples=_count("loop.samples", loop["samples"]))
+    return enc.LoopSpec(center=(loop["center_p"], loop["center_delta"]),
+                        radius=(loop["radius_p"], loop["radius_delta"]), direction=str(loop["direction"]),
+                        period=loop["period"], start_phase=loop["start_phase"], samples=loop["samples"])
 
 
 def _trajectory_table(traj):

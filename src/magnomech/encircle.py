@@ -3,10 +3,11 @@
 A two-component state is carried under the loop-dependent reduced matrix and
 projected on the fixed supermode basis of the loop's start point. Each sample
 interval's propagator is a product of exact exponentials of fourth-order Magnus
-steps (two Gauss points each), with every 2x2 stack held as four component
-arrays. Each step's trace part is a scalar: its real part is banked as
-log-norm, its imaginary part (the GHz carrier) is a dropped global phase. The
-state is renormalized at every sample.
+steps (two Gauss points each), with the operator taken from ep as its four
+entry arrays and every 2x2 product kept as four component arrays, never packed.
+Each step's trace part is a scalar: its real part is banked as log-norm, its
+imaginary part (the GHz carrier) is a dropped global phase. The state is
+renormalized at every sample.
 
 The reversed loop keeps the start phase, so it sits at time t where the loop
 sits at period - t. Both directions are therefore formed from one operator
@@ -27,8 +28,8 @@ import math
 import numpy as np
 
 from .errors import ConfigError, NumericsError
-from .ep import GAP_RTOL, _ellipse, eigenpairs, hamiltonian_on_plane
-from .model import SystemConfig
+from .ep import GAP_RTOL, _ellipse, _plane, eigenpairs, hamiltonian_on_plane
+from .model import SystemConfig, _count, _number
 
 RTOL = 1e-8  # default pass-to-pass agreement at which transport stops doubling its substep count
 SLOPE_THRESHOLD = 0.5  # |d f_a / d theta| above which a sample counts toward an oscillation's duration
@@ -51,16 +52,22 @@ class LoopSpec:
     def __post_init__(self):
         if self.direction not in ("cw", "ccw"):
             raise ConfigError(f"LoopSpec.direction must be 'cw' or 'ccw', got {self.direction!r}")
-        if not self.period > 0:
-            raise ConfigError("LoopSpec.period must be positive")
-        if self.samples < 64:
-            raise ConfigError("LoopSpec.samples must be at least 64")
-        if np.shape(self.radius) != (2,):
-            raise ConfigError(f"LoopSpec.radius must be a (radius_p, radius_delta) pair, got {self.radius!r}")
+        for name in ("center", "radius"):
+            if np.shape(getattr(self, name)) != (2,):
+                raise ConfigError(f"LoopSpec.{name} must be a (p_in, delta) pair, got {getattr(self, name)!r}")
+        # each number is kept as the Python number it was checked as; an error names its run key
+        for name, value in (("center", tuple(map(_number, ("loop.center_p", "loop.center_delta"), self.center))),
+                            ("radius", tuple(map(_number, ("loop.radius_p", "loop.radius_delta"), self.radius))),
+                            ("period", _number("loop.period", self.period)),
+                            ("start_phase", _number("loop.start_phase", self.start_phase)),
+                            ("samples", _count("loop.samples", self.samples, 64))):
+            object.__setattr__(self, name, value)
         # a semi-axis may be 0: radius (0, 0) is a constant-parameter loop used for stationarity checks
         for key, semi_axis in zip(("loop.radius_p", "loop.radius_delta"), self.radius):
-            if not 0 <= semi_axis < math.inf:
-                raise ConfigError(f"LoopSpec.radius semi-axis {key} must be finite and >= 0, got {semi_axis!r}")
+            if semi_axis < 0:
+                raise ConfigError(f"LoopSpec semi-axis {key!r} must be >= 0, got {semi_axis!r}")
+        if self.period <= 0:
+            raise ConfigError(f"LoopSpec 'loop.period' must be positive, got {self.period!r}")
 
     @property
     def orientation(self):
@@ -135,16 +142,15 @@ def energy_fractions(states, basis):
     return np.hstack([f_a, 1.0 - f_a])
 
 
-def _exponents(hs, e):
+def _exponents(entries, e):
     """Half trace and traceless parts of each step's 4th-order Magnus exponent, written out.
 
-    hs holds the operators at a step's two Gauss points, shape (..., 2, 2, 2) with the point axis
-    first, and e = -i * step. The exponent is tau * I + mean + comm with mean and comm traceless,
-    each given as its (00, 01, 10) components. The step run backward in time swaps its Gauss
+    entries are the operator's (h00, h01, h10, h11) at a step's two Gauss points, each of shape (..., 2)
+    with the point axis last, and e = -i * step. The exponent is tau * I + mean + comm with mean and comm
+    traceless, each given as its (00, 01, 10) components. The step run backward in time swaps its Gauss
     points, which flips the sign of comm alone.
     """
-    a0, b0, c0, d0 = hs[..., 0, 0, 0], hs[..., 0, 0, 1], hs[..., 0, 1, 0], hs[..., 0, 1, 1]
-    a1, b1, c1, d1 = hs[..., 1, 0, 0], hs[..., 1, 0, 1], hs[..., 1, 1, 0], hs[..., 1, 1, 1]
+    (a0, a1), (b0, b1), (c0, c1), (d0, d1) = ((h[..., 0], h[..., 1]) for h in entries)
     tau = e * (a0 + d0 + a1 + d1) / 4
     q0, q1 = (a0 - d0) / 2, (a1 - d1) / 2  # traceless halves of the diagonals
     mean = (e * (q0 + q1) / 2, e * (b0 + b1) / 2, e * (c0 + c1) / 2)
@@ -206,14 +212,12 @@ def _transport(loop, config_template, tie_tm_detuning, u0, substeps, senses):
     for first in range(0, intervals, per_block):
         n = np.arange(first * substeps, min(intervals, first + per_block) * substeps)
         t = (n[:, None] + _GAUSS) * h
-        hs = hamiltonian_on_plane(config_template, *_params_at(loop, t), tie_tm_detuning)
-        tau, mean, comm = _exponents(hs, -1j * h)
-        del hs  # each temporary goes as soon as it is used, and all before the next block's build
+        tau, mean, comm = _exponents(_plane(config_template, *_params_at(loop, t), tie_tm_detuning), -1j * h)
         growth.append(tau.real.reshape(-1, substeps).sum(axis=1))
         for sense in senses:  # one direction after the other, so the step temporaries never double
             w = [m + c if sense > 0 else m - c for m, c in zip(mean, comm)]
             props[sense].append(_products(_exp_traceless(*w), substeps, sense))
-        del tau, mean, comm, w
+        del tau, mean, comm, w  # all before the next block's build
     growth = np.concatenate(growth)
     out = []
     for sense in senses:
@@ -266,10 +270,9 @@ def _evolve(loop, config_template, initial_state, rtol, tie_tm_detuning, senses)
     out = []
     for sense, (states, log_norm, fractions), spread_one in zip(senses, runs, spread):
         one_loop = loop if sense > 0 else loop.reversed()
-        p_arr, d_arr = _params_at(one_loop, t_eval)
+        p_in, delta = _params_at(one_loop, t_eval)  # float arrays: LoopSpec holds Python floats
         out.append(Trajectory(
-            times=t_eval, theta=np.asarray(_theta_at(one_loop, t_eval), dtype=float),
-            p_in=np.asarray(p_arr, dtype=float), delta=np.asarray(d_arr, dtype=float),
+            times=t_eval, theta=_theta_at(one_loop, t_eval), p_in=p_in, delta=delta,
             states=states, log_norm=log_norm, fractions=fractions, loop=one_loop,
             substeps=substeps, passes=passes, disagreement=spread_one))
     return out

@@ -41,10 +41,18 @@ def _number(key, value, kind=float):
     raise ConfigError(f"{key!r} must be a finite number, got {value!r}")
 
 
-def _frequency(omega, grid=False):
-    """omega as a finite Python float, or with grid also as a finite float array; else ConfigError naming omega."""
+def _count(key, value, least):
+    """value as an int if it is a whole number >= least; any other value raises ConfigError naming key."""
+    number = _number(key, value)
+    if number != int(number) or number < least:
+        raise ConfigError(f"{key!r} must be a whole number >= {least}, got {value!r}")
+    return int(number)
+
+
+def _frequency(omega, grid=False, key="omega"):
+    """omega as a finite Python float, or with grid and axes as a finite float array; else ConfigError naming key."""
     array = grid and not isinstance(omega, float) and np.ndim(omega) > 0
-    return _number("omega", omega, (lambda w: np.asarray(w, dtype=float)) if array else float)
+    return _number(key, omega, (lambda w: np.asarray(w, dtype=float)) if array else float)
 
 
 @dataclass(frozen=True)

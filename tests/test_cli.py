@@ -399,6 +399,9 @@ def test_near_singular_spectrum_exits_3(tmp_path, monkeypatch, capsys):
     # a finite operator whose discriminant overflows: no nan eigenvalue cell is written
     (["surface", "--preset", "fig5", "--set", "p_grid=1e99:1e100:2", "--set", "delta_grid=-1e7:1e7:2"],
      "2x2 eigenvalues evaluated non-finite at p_in 1e+99, delta -10000000.0"),
+    # an operator entry overflows: the first bad cell is named, as for the eigenvalues above
+    (["surface", "--preset", "fig5", "--set", "p_grid=1e200:1e201:2", "--set", "delta_grid=-1e7:1e7:2"],
+     "effective 2x2 matrix evaluated non-finite at p_in 1e+200, delta -10000000.0"),
 ])
 def test_overflow_exits_3_with_no_artifact(tmp_path, capsys, argv, message):
     assert cli.main(argv + ["--format", "csv,json", "--out", str(tmp_path / "x")]) == 3

@@ -78,9 +78,20 @@ def test_loop_validation():
                 direction="ccw", period=1e-4, start_phase=0.0, samples=64)
     LoopSpec(**good)
     for bad in ({"direction": "widdershins"}, {"period": 0.0}, {"samples": 32}, {"radius": 1e11},
-                {"radius": (1e11, 1e6, 1.0)}):
+                {"radius": (1e11, 1e6, 1.0)}, {"center": (8.7e11, -5.5e6, 0.0)}):
         with pytest.raises(ConfigError):
             LoopSpec(**{**good, **bad})
+    # a count that is not whole and a value that is not finite are refused naming the run key
+    for bad, key in (({"samples": 100.5}, "loop.samples"), ({"samples": np.inf}, "loop.samples"),
+                     ({"period": np.inf}, "loop.period"), ({"period": np.nan}, "loop.period"),
+                     ({"period": -1e-4}, "loop.period"), ({"start_phase": np.nan}, "loop.start_phase"),
+                     ({"center": (np.inf, -5.5e6)}, "loop.center_p"),
+                     ({"center": (8.7e11, np.nan)}, "loop.center_delta")):
+        with pytest.raises(ConfigError, match=key):
+            LoopSpec(**{**good, **bad})
+    # numbers of any type are stored as the Python numbers they were checked as
+    loop = LoopSpec(**{**good, "samples": 64.0, "period": np.float64(1e-4), "center": [np.float64(8.7e11), -5.5e6]})
+    assert type(loop.samples) is int and type(loop.period) is float and loop.center == (8.7e11, -5.5e6)
     # each semi-axis must be finite and >= 0; the error names it
     for radius, key in (((-1e11, 1e6), "loop.radius_p"), ((1e11, -1e6), "loop.radius_delta"),
                         ((np.inf, 1e6), "loop.radius_p"), ((1e11, np.nan), "loop.radius_delta")):
@@ -261,7 +272,7 @@ def test_step_kernel_matches_expm_of_the_magnus_exponent(rng):
     hs = rng.normal(size=(64, 2, 2, 2)) + 1j * rng.normal(size=(64, 2, 2, 2))
     hs[0, :] = np.eye(2) + 1e-9 * hs[0, 0]  # s ~ 1e-9
     hs[1, :] = [[2.0 + 1.0j, 1.5 - 0.5j], [0.0, 2.0 + 1.0j]]  # equal points, nilpotent W: s = 0, W != 0
-    tau, mean, comm = enc._exponents(hs, e)
+    tau, mean, comm = enc._exponents(tuple(hs[..., i, j] for i in (0, 1) for j in (0, 1)), e)
     x = e * hs
     np.testing.assert_allclose(tau, np.trace(x, axis1=-2, axis2=-1).sum(axis=1) / 4, rtol=1e-14)
     for sense in (1, -1):

@@ -184,6 +184,19 @@ def test_plane_helper_ties_strengths(rng):
                 for j, d in enumerate(d_mesh):
                     rebuilt = cfg.with_strengths(tm=p, te=p).with_drive_detunings(te=d, tm=d if tie else None)
                     assert np.array_equal(stack[i, j], build_hamiltonian(rebuilt))
+            # lists, and an array on either axis against a scalar on the other, broadcast like arrays
+            for p_in, delta in ((p_mesh.tolist(), d_mesh[:, None].tolist()), (p_mesh, -2e7), (5e11, d_mesh)):
+                stack = hamiltonian_on_plane(cfg, p_in, delta, tie_tm_detuning=tie)
+                shape = np.broadcast_shapes(np.shape(p_in), np.shape(delta))
+                assert stack.shape == shape + (2, 2) and stack.flags.c_contiguous
+                axes = (np.broadcast_to(x, shape).ravel().tolist() for x in (p_in, delta))
+                for cell, p, d in zip(stack.reshape(-1, 2, 2), *axes):  # bit for bit, -0.0 apart from 0.0
+                    assert cell.tobytes() == hamiltonian_on_plane(cfg, p, d, tie_tm_detuning=tie).tobytes()
+    # a point that is not finite, or a negative drive strength, is refused naming its axis
+    for p_in, delta, key in ((np.nan, 0.0, "'p_in'"), ([1e11, np.inf], 0.0, "'p_in'"), (1e11, -np.inf, "'delta'"),
+                             (np.array([1e11, -1.0]), [0.0], "p_in >= 0")):
+        with pytest.raises(ConfigError, match=key):
+            hamiltonian_on_plane(configs[0], p_in, delta)
 
 
 def test_zero_drive_hamiltonian_is_bare_and_diagonal():
@@ -240,6 +253,8 @@ def test_ep_search_validates_region():
         find_exceptional_points(cfg, ((5e11, 1e12), (-1e7, 1e7)), seeds_per_axis=3)
     with pytest.raises(ConfigError):
         find_exceptional_points(cfg, ((-1e11, 1e12), (-1e7, 1e7)))  # negative drive strength
+    with pytest.raises(ConfigError, match="seeds_per_axis"):
+        find_exceptional_points(cfg, ((5e11, 1e12), (-1e7, 1e7)), seeds_per_axis=8.5)
 
 
 def test_empty_region_returns_no_eps():
@@ -324,9 +339,11 @@ def test_monodromy_swap_around_ep_and_not_elsewhere():
 def test_overflowing_drive_raises_numerics_error():
     # |g_b|^2 overflows to inf, never to a Python OverflowError, and the matrix check reports it
     fig2a = get_preset("fig2a").config
-    for p_in in (1e200, np.array([1e11, 1e200])):
-        with pytest.raises(NumericsError, match="effective 2x2 matrix evaluated non-finite"):
-            hamiltonian_on_plane(fig2a, p_in, 0.0)
+    with pytest.raises(NumericsError, match="effective 2x2 matrix evaluated non-finite$"):
+        hamiltonian_on_plane(fig2a, 1e200, 0.0)
+    # on a stack the message names the first bad cell
+    with pytest.raises(NumericsError, match=r"effective 2x2 matrix evaluated non-finite at p_in 1e\+200, delta 0.0$"):
+        hamiltonian_on_plane(fig2a, np.array([1e11, 1e200]), 0.0)
     with pytest.raises(NumericsError, match="effective 2x2 matrix evaluated non-finite"):
         build_hamiltonian(fig2a.with_strengths(tm=1e200, te=1e200))
 
