@@ -81,6 +81,9 @@ def build_parser():
     return parser
 
 
+_PARSER = build_parser()  # parsing leaves it unchanged, so main shares one per process
+
+
 def _parse_value(raw: str):
     if raw.count(":") == 2 and "{" not in raw:  # lo:hi:n, checked where the grid is read
         return [_parse_value(part) for part in raw.split(":")]
@@ -393,7 +396,7 @@ def run(spec: RunSpec) -> int:
 
 
 def main(argv=None) -> int:
-    args = build_parser().parse_args(argv)
+    args = _PARSER.parse_args(argv)
     try:
         return run(make_runspec(args))
     except ConfigError as exc:

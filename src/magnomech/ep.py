@@ -125,7 +125,12 @@ def hamiltonian_on_plane(config_template: SystemConfig, p_in, delta,
 
 
 def _entries(h):
-    """The four entries of a caller-given matrix: Python complexes for one matrix, arrays for a stack."""
+    """The four entries of a caller-given matrix: Python complexes for one matrix, arrays for a stack.
+
+    NumericsError unless the last two axes are 2x2, so a (2, 2, 3) array is not read along the wrong axes.
+    """
+    if h.ndim < 2 or h.shape[-2:] != (2, 2):
+        raise NumericsError(f"expected a 2x2 matrix or a stack of them, got shape {h.shape}")
     if h.ndim == 2:
         return h.ravel().tolist()
     return h[..., 0, 0], h[..., 0, 1], h[..., 1, 0], h[..., 1, 1]

@@ -126,18 +126,25 @@ def _abs2(z):
     return z.real * z.real + z.imag * z.imag
 
 
-def _psd(config, omega, det_tm, det_te, g_a, g_b, inv, inv_ref, channels):
+def _responses(config, omega):
+    """The bare responses (chi_r, chi_r~, chi_m, chi_m~) at omega, which depend on nothing else."""
+    gr, om_r = config.phonon.gamma, config.phonon.omega
+    gm, om_m = config.magnon.gamma, config.magnon.omega
+    return (susceptibility(gr, om_r, omega), susceptibility(gr, -om_r, omega),
+            susceptibility(gm, om_m, omega), susceptibility(gm, -om_m, omega))
+
+
+def _psd(config, omega, det_tm, det_te, g_a, g_b, inv, inv_ref, responses, channels):
     """PSD over broadcast omega and detunings by Cramer's rule on M, the (b, b~) Schur complement of A.
 
+    The caller passes responses = _responses(config, omega), so a map evaluates them once for all rows.
     With D = chi_r - chi_r~: M00 = inv + |g_b|^2 D + g_a^2 chi_m, M01 = g_b^2 D, M10 = -conj(g_b)^2 D and
     M11 = inv_ref - |g_b|^2 D + conj(g_a)^2 chi_m~. Every gamma > 0 keeps the eliminated block regular,
     so A is near-singular exactly when M is, by ||M||_F^2 / |det M| = ||M||_F ||M^-1||_F > _COND_LIMIT.
     Scalars and arrays take the same steps through _mul and susceptibility: a grid cell rounds like its point.
     """
-    gr, om_r = config.phonon.gamma, config.phonon.omega
-    gm, om_m = config.magnon.gamma, config.magnon.omega
-    chi_r, chi_r_ref, chi_m, chi_m_ref = (susceptibility(gr, om_r, omega), susceptibility(gr, -om_r, omega),
-                                          susceptibility(gm, om_m, omega), susceptibility(gm, -om_m, omega))
+    gr, gm = config.phonon.gamma, config.magnon.gamma
+    chi_r, chi_r_ref, chi_m, chi_m_ref = responses
     g_a_ref, g_b_ref = g_a.conjugate(), g_b.conjugate()
     d = chi_r - chi_r_ref
     gb2_d = _mul(_abs2(g_b), d)
@@ -167,7 +174,8 @@ def psd(omega, config: SystemConfig, channels=ALL_CHANNELS):
     omega = _frequency(omega, grid=True)
     frame = _pump_frame(config, *_drives(config), omega)
     with _quiet(omega):  # _psd reports a non-finite cell
-        return _psd(config, omega, config.drive_tm.detuning, config.drive_te.detuning, *frame, channels)
+        return _psd(config, omega, config.drive_tm.detuning, config.drive_te.detuning, *frame,
+                    _responses(config, omega), channels)
 
 
 def psd_map(config_template: SystemConfig, omega_grid, detuning_grid, swept: str = "TE",
@@ -178,8 +186,9 @@ def psd_map(config_template: SystemConfig, omega_grid, detuning_grid, swept: str
     bit, the psd over omega_grid with the swept pump at detuning_grid[k].
     The cells, couplings included, are evaluated in array passes over
     blocks of rows, the detunings as a column, which bounds the
-    temporaries. No config is rebuilt, and evaluation order never changes
-    values.
+    temporaries; the responses, which depend on omega alone, are
+    evaluated once, before the blocks, and handed to _psd. No config is
+    rebuilt, and evaluation order never changes values.
     """
     if swept not in ("TE", "TM"):
         raise ConfigError(f"swept must be 'TE' or 'TM', got {swept!r}")
@@ -194,10 +203,12 @@ def psd_map(config_template: SystemConfig, omega_grid, detuning_grid, swept: str
     strengths = (config_template.drive_tm.effective_strength, config_template.drive_te.effective_strength)
     out = np.empty((detuning_grid.size, omega_grid.size))
     rows = max(1, _BLOCK_CELLS // omega_grid.size)
+    with _quiet(omega_grid):  # _psd reports a non-finite cell
+        responses = _responses(config_template, omega_grid)
     for lo in range(0, detuning_grid.size, rows):
         block = slice(lo, lo + rows)
         dets = detunings(detuning_grid[block, None])
         frame = _pump_frame(config_template, *strengths, *dets, omega_grid)
         with _quiet(omega_grid):  # _psd reports a non-finite cell
-            out[block] = _psd(config_template, omega_grid, *dets, *frame, channels)
+            out[block] = _psd(config_template, omega_grid, *dets, *frame, responses, channels)
     return out

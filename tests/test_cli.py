@@ -13,7 +13,7 @@ from magnomech import cli
 from magnomech.ep import eigenpairs, hamiltonian_on_plane
 from magnomech.errors import NumericsError
 from magnomech.model import effective_couplings
-from magnomech.output import (GridAxis, config_hash, data_section, format_column, json_rows,
+from magnomech.output import (GridAxis, config_hash, data_section, format_column, json_cells, json_rows,
                               metadata_block, write_csv, write_json)
 from magnomech.presets import REGISTRY, get_preset, verify_registry
 
@@ -564,6 +564,82 @@ def test_grid_axis_text_matches_its_expanded_values():
     expanded = np.asarray(axis)
     assert np.array_equal(expanded, np.tile(np.repeat(axis.values, 2), 3))
     assert format_column(axis) == format_column(expanded) == [repr(v) for v in expanded.tolist()]
+    for values in (np.array([]), np.array([2.5]), np.array([-0.0, 1e-5, 3.0])):
+        for repeat in (0, 1, 2):
+            for tile in (0, 1, 3):
+                axis = GridAxis(values, repeat=repeat, tile=tile)
+                assert format_column(axis) == [repr(v) for v in np.asarray(axis).tolist()]
+
+
+def _zip_csv_text(table, metadata):
+    """write_csv's file text as a row-wise zip join writes it."""
+    cols = [format_column(col) for col in table.values()]
+    lines = [f"# {key}: {value}" for key, value in metadata.items()]
+    lines.append(f"# columns: {','.join(table)}")
+    lines.append(",".join(table))
+    lines.extend(map(",".join, zip(*cols)))
+    return "\n".join(lines) + "\n"
+
+
+def _zip_json_rows(cells):
+    """json_rows's text as a row-wise zip join writes it."""
+    rows = "], [".join(map(", ".join, zip(*cells.values())))
+    rows = f"[{rows}]" if rows else ""
+    return f'{{"columns": {json.dumps(list(cells))}, "rows": [{rows}]}}'
+
+
+def test_assembled_rows_match_the_row_wise_zip_join(tmp_path):
+    """Seeded tables of 0, 1 and many rows, 1-7 columns of every cell kind, against the zip-join text."""
+    rng = np.random.default_rng(20170213)
+    specials = np.array([-0.0, 0.0, np.nan, np.inf, -np.inf, 1e-7, -1e-7, 1e16, -1e16, 5e-324, 0.1 + 0.2])
+    path = str(tmp_path / "t.csv")
+    seen_rows = set()
+    for case in range(120):
+        # the grid axis sets the row count: len(values) * repeat * tile, each factor 0, 1 or n
+        count, repeat, tile = (int(rng.choice(f)) for f in ((0, 1, 5), (0, 1, 3), (0, 1, 4)))
+        rows = count * repeat * tile
+        seen_rows.add(min(rows, 2))
+        kinds = {"axis": GridAxis(rng.normal(size=count) * 1e9, repeat=repeat, tile=tile),
+                 "float": np.where(rng.random(rows) < 0.5, rng.choice(specials, rows), rng.normal(size=rows)),
+                 "scaled": rng.normal(size=rows) * 10.0 ** rng.integers(-12, 20, rows),
+                 "int": rng.integers(-10**6, 10**6, rows),
+                 "bool": rng.random(rows) < 0.5}
+        names = rng.choice(list(kinds), size=int(rng.integers(1, 8)))
+        table = {f"c{j}_{name}": kinds[name] for j, name in enumerate(names)}
+        meta = {"case": str(case)}
+        write_csv(path, table, meta)
+        with open(path, newline="") as fh:
+            assert fh.read() == _zip_csv_text(table, meta)
+        cells = {name: json_cells(col, format_column(col)) for name, col in table.items()}
+        assert json_rows(cells) == _zip_json_rows(cells)
+    assert seen_rows == {0, 1, 2}  # no rows, one row and many rows all drawn
+
+
+def test_columns_of_unequal_length_are_refused(tmp_path):
+    path = tmp_path / "short.csv"
+    with pytest.raises(ValueError, match=r"\[3, 2\]"):
+        write_csv(str(path), {"a": np.arange(3.0), "b": np.arange(2.0)}, {})
+    assert not path.exists()
+    with pytest.raises(ValueError, match=r"\[1, 0, 1\]"):
+        json_rows({"a": ["1.0"], "b": [], "c": ["true"]})
+
+
+def test_shared_parser_keeps_no_state_between_calls(tmp_path):
+    """main parses with one parser per process: no call's --set or --format reaches the next."""
+    assert cli.build_parser() is not cli.build_parser()
+    argv = ["spectrum", "--preset", "fig4a"]
+    assert cli.main(argv + ["--set", "omega_grid=0.4e9:2.0e9:7", "--format", "json",
+                            "--out", str(tmp_path / "first")]) == 0
+    assert cli.main(argv + ["--out", str(tmp_path / "plain")]) == 0
+    assert cli.main(argv + ["--format", "csv,json", "--out", str(tmp_path / "warm")]) == 0
+    src = os.path.dirname(os.path.dirname(cli.__file__))
+    probe = "import sys; from magnomech import cli; sys.exit(cli.main(sys.argv[1:]))"
+    subprocess.run([sys.executable, "-c", probe, *argv, "--format", "csv,json", "--out", str(tmp_path / "fresh")],
+                   env={**os.environ, "PYTHONPATH": src}, check=True, capture_output=True)
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["first.json", "fresh.csv", "fresh.json", "plain.csv",
+                                                          "warm.csv", "warm.json"]
+    for a, b in (("plain.csv", "fresh.csv"), ("warm.csv", "fresh.csv"), ("warm.json", "fresh.json")):
+        assert (tmp_path / a).read_bytes() == (tmp_path / b).read_bytes()
 
 
 def test_find_ep_with_no_eps_writes_header_only(tmp_path):

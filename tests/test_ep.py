@@ -147,6 +147,14 @@ def test_eigenpairs_rejects_bad_input():
         eigenpairs(np.eye(3))
 
 
+@pytest.mark.parametrize("shape", [(3, 3), (2, 3), (4,), (2, 2, 3)])
+@pytest.mark.parametrize("fn", [eigenvalues, discriminant, eigenpairs])
+def test_non_2x2_input_is_refused(fn, shape):
+    """Only arrays whose last two axes are 2x2 pass; (2, 2, 3) would otherwise be read along the wrong axes."""
+    with pytest.raises(NumericsError, match="2x2"):
+        fn(np.ones(shape))
+
+
 def test_hamiltonian_structure_matches_manual_assembly():
     cfg = build_config(omega_m=9.84e8, omega_r=1.016e9, delta_tm=-3e6, delta_te=-5e6,
                        strength_tm=8.7e11, strength_te=8.7e11)
