@@ -257,6 +257,9 @@ def _run_self_energy(spec: RunSpec):
     parts = _names(run["parts"])
     if not parts:
         raise ConfigError("'parts' must name at least one self-energy component")
+    repeated = sorted({part for part in parts if parts.count(part) > 1})
+    if repeated:
+        raise ConfigError(f"'parts' names a self-energy component more than once: {repeated}")
     if diagonal:
         axes = {"delta_tm": tm_grid, "delta_te": te_grid}
     else:

@@ -28,7 +28,7 @@ import math
 import numpy as np
 
 from .errors import ConfigError, NumericsError
-from .ep import GAP_RTOL, _ellipse, _plane, eigenpairs, hamiltonian_on_plane
+from .ep import GAP_RTOL, _degenerate, _ellipse, _plane, eigenpairs, hamiltonian_on_plane
 from .model import SystemConfig, _count, _number
 
 RTOL = 1e-8  # default pass-to-pass agreement at which transport stops doubling its substep count
@@ -113,8 +113,7 @@ def initial_basis(loop: LoopSpec, config_template: SystemConfig, tie_tm_detuning
     """Supermode basis at the loop start: (v_a, v_b) with 'a' the larger-Re branch."""
     p0, d0 = _params_at(loop, 0.0)
     pair = eigenpairs(hamiltonian_on_plane(config_template, p0, d0, tie_tm_detuning))
-    lam_bar = abs(pair.lambda_plus + pair.lambda_minus) / 2
-    if abs(pair.lambda_plus - pair.lambda_minus) <= GAP_RTOL * max(lam_bar, 1.0):
+    if _degenerate(pair.lambda_plus, pair.lambda_minus, GAP_RTOL):
         raise ConfigError("loop start point is degenerate within tolerance; shift the start phase or center")
     if pair.lambda_plus.real >= pair.lambda_minus.real:
         return pair.v_plus, pair.v_minus

@@ -22,7 +22,7 @@ import numpy as np
 
 from .errors import ConfigError, NumericsError
 from .model import (SystemConfig, _abs, _at_first, _checked_grid, _count, _drives, _every, _finite, _frequency, _mul,
-                    _pump_frame, _quiet, _reciprocal)
+                    _number, _pump_frame, _quiet, _reciprocal)
 from .self_energy import _dressing, _mediated
 
 GAP_RTOL = 1e-6  # eigenvalue gap, relative to max(|mean eigenvalue|, 1), at or below which a pair is degenerate
@@ -154,6 +154,11 @@ def _roots(h00, h01, h10, h11, **where):
     return plus, minus
 
 
+def _degenerate(plus, minus, rtol):
+    """Whether |plus - minus| <= rtol * max(|plus + minus| / 2, 1): the pair coalesces, at a point or per cell."""
+    return _abs(plus - minus) <= rtol * np.maximum(_abs(plus + minus) / 2, 1.0)
+
+
 def discriminant(h):
     """Quadratic discriminant of one 2x2 matrix (a complex) or of a stack; eigenvalues coalesce at its zeros."""
     return _discriminant(*_entries(np.asarray(h, dtype=complex)))
@@ -242,9 +247,8 @@ def riemann_surface(config_template: SystemConfig, p_grid, delta_grid,
     plus, minus = _roots(*_plane(config_template, p_in, delta, tie_tm_detuning), p_in=p_in, delta=delta)
     column = _track(plus[:, 0], minus[:, 0])
     lam1, lam2 = (lam.T for lam in _track(plus.T, minus.T, column))
-    scale = np.maximum(_abs(lam1 + lam2) / 2, 1.0)
-    near = _abs(lam1 - lam2) <= NEAR_EP_REL * scale
-    return SurfaceResult(p_grid=p_grid, delta_grid=delta_grid, lambda1=lam1, lambda2=lam2, near_ep=near)
+    return SurfaceResult(p_grid=p_grid, delta_grid=delta_grid, lambda1=lam1, lambda2=lam2,
+                         near_ep=_degenerate(lam1, lam2, NEAR_EP_REL))
 
 
 def _bisect(f, lo, hi, f_lo):
@@ -272,9 +276,11 @@ def find_exceptional_points(config_template: SystemConfig, region, seeds_per_axi
     delta where one root s is real, so that F = Im s+ * Im s- changes sign. F is sampled at
     seeds_per_axis detunings, each sign change is bisected to float adjacency, and p_in = sqrt(Re s).
     Each EP must lie in the region and have an eigenvalue gap of at most GAP_RTOL relative to
-    max(|mean eigenvalue|, 1). An empty list is a valid outcome.
+    max(|mean eigenvalue|, 1). An empty list is a valid outcome. A region bound that is not a finite
+    number raises ConfigError naming region.
     """
     (p_lo, p_hi), (d_lo, d_hi) = region
+    p_lo, p_hi, d_lo, d_hi = (_number("region", bound) for bound in (p_lo, p_hi, d_lo, d_hi))
     if not (0 <= p_lo < p_hi and d_lo < d_hi):
         raise ConfigError("EP search region must be a non-degenerate rectangle at drive strengths >= 0")
     seeds_per_axis = _count("seeds_per_axis", seeds_per_axis, 8)
@@ -311,14 +317,12 @@ def find_exceptional_points(config_template: SystemConfig, region, seeds_per_axi
         p = float(on_line(d)[1])
         if not (p_lo - pad_p <= p <= p_hi + pad_p and d_lo - pad_d <= d <= d_hi + pad_d):
             continue
-        h = hamiltonian_on_plane(config_template, p, d, tie_tm_detuning)
-        pair = eigenpairs(h)
-        lam_bar = (pair.lambda_plus + pair.lambda_minus) / 2
-        gap = abs(pair.lambda_plus - pair.lambda_minus)
-        if gap > GAP_RTOL * max(abs(lam_bar), 1.0):
+        entries = _plane(config_template, p, d, tie_tm_detuning)
+        plus, minus = _roots(*entries)
+        if not _degenerate(plus, minus, GAP_RTOL):
             continue
-        found.append(EpLocation(p_in=p, delta=float(d), residual=abs(discriminant(h)),
-                                lambda_value=complex(lam_bar), gap=float(gap)))
+        found.append(EpLocation(p_in=p, delta=float(d), residual=abs(_discriminant(*entries)),
+                                lambda_value=(plus + minus) / 2, gap=abs(plus - minus)))
     found.sort(key=lambda l: (l.p_in, l.delta))
     return found
 

@@ -1,15 +1,18 @@
 """Thermal-noise output spectra of the driven optical branch.
 
-Three computation routes for the same transfer coefficients:
+One elimination, _eliminate, reduces the closed six-variable
+frequency-domain system in (b, b~, r, r~, m, m~), where x~[w] means
+x*[-w], to a conditioning-checked 2x2 system in (b, b~): it eliminates the
+diagonal (r, r~, m, m~) block and gives each noise channel's transfer
+coefficient into b[w]. Three routes read it:
 
-- linear_system_response: direct solve of the closed six-variable
-  frequency-domain system in (b, b~, r, r~, m, m~), where x~[w] means
-  x*[-w]. It is the oracle.
-- psd and psd_map: elimination of the diagonal (r, r~, m, m~) block down
-  to a conditioning-checked 2x2 system in (b, b~), over whole grids.
-- closed_form_response: analytic elimination of the mechanical and
-  magnetic sectors down to a scalar loop equation for b[w], run in Python
-  scalars; it agrees with the direct solve to numerical precision.
+- psd and psd_map sum the squared coefficients, at a point or over whole
+  grids;
+- closed_form_response returns the coefficients at one frequency, in
+  Python scalars.
+
+linear_system_response solves the 6x6 system directly and is the oracle
+that the tests hold the elimination against.
 
 The PSD is the channel-incoherent sum of squared transfer magnitudes, per
 unit noise level: thermal drives on different modes do not interfere, and
@@ -26,7 +29,7 @@ import numpy as np
 
 from .errors import ConfigError, NumericsError
 from .model import (SystemConfig, _abs, _at_first, _checked_grid, _drives, _every, _finite, _frequency, _mul,
-                    _pump_frame, _quiet, effective_couplings, susceptibility)
+                    _pump_frame, _quiet, susceptibility)
 
 # noise channels: thermal force on phonon/magnon at +w, conjugate partner at -w
 R_PLUS, R_MINUS, M_PLUS, M_MINUS = "r+", "r-", "m+", "m-"
@@ -38,10 +41,12 @@ _BLOCK_CELLS = 4096  # grid cells per psd_map array pass: bounds its temporaries
 
 
 def _channels(channels):
-    """The enabled noise channels as a frozenset; a name outside ALL_CHANNELS raises ConfigError."""
+    """The enabled noise channels as a frozenset; an empty set or a name outside ALL_CHANNELS raises ConfigError."""
     channels = frozenset(channels)
     if not channels <= ALL_CHANNELS:
         raise ConfigError(f"unknown noise channels: {sorted(channels - ALL_CHANNELS)}")
+    if not channels:
+        raise ConfigError(f"noise channels must name at least one of {sorted(ALL_CHANNELS)}")
     return channels
 
 
@@ -79,49 +84,6 @@ def linear_system_response(omega, config: SystemConfig, channels=ALL_CHANNELS):
     return {ch: coeffs[k] for k, ch in enumerate(_CHANNEL_ORDER) if ch in channels}
 
 
-def _loop_pieces(omega, config, g_a, g_b):
-    """Scalar elimination pieces at one frequency: 1/X, Y and the bare susceptibilities."""
-    gr, om_r = config.phonon.gamma, config.phonon.omega
-    chi_r = susceptibility(gr, om_r, omega)
-    chi_r_ref = susceptibility(gr, om_r, -omega).conjugate()
-    chi_m = susceptibility(config.magnon.gamma, config.magnon.omega, omega)
-    d_r = chi_r - chi_r_ref
-    x_inv = (config.te_photon.gamma / 2 - 1j * (omega + config.drive_te.detuning) + abs(g_b) * abs(g_b) * d_r
-             + g_a * g_a * chi_m)
-    return x_inv, g_b * g_b * d_r, chi_r, chi_r_ref, chi_m
-
-
-def closed_form_response(omega, config: SystemConfig):
-    """Analytic elimination of the mechanical and magnetic sectors, in Python scalars at one finite omega.
-
-    Full channel algebra; matches linear_system_response. Returns
-    {channel: complex coefficient} per unit noise amplitude.
-    """
-    omega = _frequency(omega)
-    g = effective_couplings(config)
-    g_a, g_b = g.g_a, g.g_b
-    x_inv, y, chi_r, chi_r_ref, chi_m = _loop_pieces(omega, config, g_a, g_b)
-    x_inv_m, y_m, _, _, _ = _loop_pieces(-omega, config, g_a, g_b)
-    if min(abs(x_inv), abs(x_inv_m)) == 0:
-        raise NumericsError("closed-form elimination hit a zero loop denominator")
-    x = 1 / x_inv
-    x_ref = (1 / x_inv_m).conjugate()  # X*[-w]
-    y_ref = y_m.conjugate()            # Y*[-w]
-    den = 1 - x * y * x_ref * y_ref
-    if abs(den) < 1e-12:
-        raise NumericsError(f"closed-form loop denominator below tolerance (|den| = {abs(den):.3e})")
-    chi_m_ref = susceptibility(config.magnon.gamma, config.magnon.omega, -omega).conjugate()
-    # direct drive vector and its frequency-reflected conjugate, channel order r+ r- m+ m-
-    root_r, root_m = math.sqrt(config.phonon.gamma), math.sqrt(config.magnon.gamma)
-    z = (-1j * g_b * root_r * chi_r, -1j * g_b * root_r * chi_r_ref, -1j * g_a * root_m * chi_m, 0j)
-    z_ref = (1j * g_b.conjugate() * root_r * chi_r, 1j * g_b.conjugate() * root_r * chi_r_ref, 0j,
-             1j * g_a.conjugate() * root_m * chi_m_ref)
-    out = {ch: x * (zk - y * x_ref * zr) / den for ch, zk, zr in zip(_CHANNEL_ORDER, z, z_ref)}
-    if not all(map(cmath.isfinite, out.values())):  # an overflowing drive gives inf or nan, never an exception
-        raise NumericsError("closed-form response evaluated non-finite")
-    return out
-
-
 def _abs2(z):
     return z.real * z.real + z.imag * z.imag
 
@@ -134,13 +96,15 @@ def _responses(config, omega):
             susceptibility(gm, om_m, omega), susceptibility(gm, -om_m, omega))
 
 
-def _psd(config, omega, det_tm, det_te, g_a, g_b, inv, inv_ref, responses, channels):
-    """PSD over broadcast omega and detunings by Cramer's rule on M, the (b, b~) Schur complement of A.
+def _eliminate(config, omega, det_tm, det_te, g_a, g_b, inv, inv_ref, responses):
+    """M, the (b, b~) Schur complement of A, over broadcast omega and detunings: det M and each channel's pieces.
 
-    The caller passes responses = _responses(config, omega), so a map evaluates them once for all rows.
-    With D = chi_r - chi_r~: M00 = inv + |g_b|^2 D + g_a^2 chi_m, M01 = g_b^2 D, M10 = -conj(g_b)^2 D and
-    M11 = inv_ref - |g_b|^2 D + conj(g_a)^2 chi_m~. Every gamma > 0 keeps the eliminated block regular,
-    so A is near-singular exactly when M is, by ||M||_F^2 / |det M| = ||M||_F ||M^-1||_F > _COND_LIMIT.
+    Returns (det M, pieces), pieces in _CHANNEL_ORDER as triples (gamma, a, b) whose transfer coefficient into
+    b[w] is -i sqrt(gamma) a b / det M. The caller passes responses = _responses(config, omega), so a map
+    evaluates them once for all rows. With D = chi_r - chi_r~: M00 = inv + |g_b|^2 D + g_a^2 chi_m,
+    M01 = g_b^2 D, M10 = -conj(g_b)^2 D and M11 = inv_ref - |g_b|^2 D + conj(g_a)^2 chi_m~. Every gamma > 0
+    keeps the eliminated block regular, so A is near-singular exactly when M is, by
+    ||M||_F^2 / |det M| = ||M||_F ||M^-1||_F > _COND_LIMIT, which raises NumericsError naming the first such cell.
     Scalars and arrays take the same steps through _mul and susceptibility: a grid cell rounds like its point.
     """
     gr, gm = config.phonon.gamma, config.magnon.gamma
@@ -159,10 +123,31 @@ def _psd(config, omega, det_tm, det_te, g_a, g_b, inv, inv_ref, responses, chann
         raise NumericsError("(b, b~) system near-singular: condition number {:.3e} at detuning_tm {!r}, "
                             "detuning_te {!r}, omega {!r}".format(
                                 *_at_first(~(cond <= _COND_LIMIT), cond, det_tm, det_te, omega)))
-    r_num = _abs2(_mul(g_b, m11) + _mul(g_b_ref, m01))
-    parts = (gr * _abs2(chi_r) * r_num, gr * _abs2(chi_r_ref) * r_num,
-             gm * _abs2(_mul(g_a, chi_m)) * _abs2(m11), gm * _abs2(_mul(g_a_ref, chi_m_ref)) * _abs2(m01))
-    power = sum(p for p, ch in zip(parts, _CHANNEL_ORDER) if ch in channels) / _abs2(det)
+    r_b = _mul(g_b, m11) + _mul(g_b_ref, m01)  # both phonon channels drive b and b~ alike
+    return det, ((gr, chi_r, r_b), (gr, chi_r_ref, r_b), (gm, _mul(g_a, chi_m), m11),
+                 (gm, _mul(g_a_ref, chi_m_ref), m01))
+
+
+def closed_form_response(omega, config: SystemConfig):
+    """Transfer coefficients into b[w] by _eliminate, in Python scalars at one finite omega.
+
+    The elimination that psd and psd_map sum; linear_system_response checks it. Returns
+    {channel: complex coefficient} per unit noise amplitude, for all four channels.
+    """
+    omega = _frequency(omega)
+    det, pieces = _eliminate(config, omega, config.drive_tm.detuning, config.drive_te.detuning,
+                             *_pump_frame(config, *_drives(config), omega), _responses(config, omega))
+    out = {ch: -1j * math.sqrt(gamma) * a * b / det for ch, (gamma, a, b) in zip(_CHANNEL_ORDER, pieces)}
+    if not all(map(cmath.isfinite, out.values())):
+        raise NumericsError("closed-form response evaluated non-finite")
+    return out
+
+
+def _psd(config, omega, det_tm, det_te, g_a, g_b, inv, inv_ref, responses, channels):
+    """PSD over broadcast omega and detunings: the channel sum of gamma |a|^2 |b|^2 / |det M|^2 from _eliminate."""
+    det, pieces = _eliminate(config, omega, det_tm, det_te, g_a, g_b, inv, inv_ref, responses)
+    power = sum(gamma * _abs2(a) * _abs2(b) for (gamma, a, b), ch in zip(pieces, _CHANNEL_ORDER)
+                if ch in channels) / _abs2(det)
     if not _finite(power):
         raise NumericsError("PSD evaluated non-finite")
     return power

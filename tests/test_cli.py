@@ -91,13 +91,18 @@ def test_self_energy_multi_part_suffixes(tmp_path):
         assert np.hypot(a[2], a[3]) == pytest.approx(np.hypot(b[2], b[3]), rel=1e-12, abs=1e-30)
 
 
-def test_self_energy_parts_take_one_name_or_a_comma_list(tmp_path):
+def test_self_energy_parts_take_one_name_or_a_comma_list(tmp_path, capsys):
     grids = ["--set", "tm_grid=-1e8:1e8:5", "--set", "te_grid=-1e8:1e8:5"]
     for stem, override in (("one", "parts=mm"), ("list", 'parts=["mm"]'), ("pair", "parts=mr,rm")):
         assert cli.main(["self-energy", "--preset", "fig2c", "--out", str(tmp_path / stem),
                          "--set", override, *grids]) == 0
     assert data_section(str(tmp_path / "one.csv")) == data_section(str(tmp_path / "list.csv"))
     assert sorted(p.name for p in tmp_path.glob("pair*")) == ["pair_mr.csv", "pair_rm.csv"]
+    # a repeated name would write one file twice
+    assert cli.main(["self-energy", "--preset", "fig3", "--out", str(tmp_path / "twice"),
+                     "--set", "parts=mm,mm", *grids]) == 2
+    assert "more than once: ['mm']" in json.loads(capsys.readouterr().err)["error"]["message"]
+    assert not list(tmp_path.glob("twice*"))
 
 
 def test_spectrum_outputs_and_jobs_invariance(tmp_path):
@@ -334,6 +339,19 @@ def test_null_region_exits_2_as_malformed(tmp_path, capsys):
         err = json.loads(capsys.readouterr().err)["error"]
         assert err["type"] == "config"
         assert err["message"] == "malformed region None"
+
+
+def test_non_finite_region_exits_2_with_only_the_json_error(tmp_path, capsys):
+    for command, bounds in (("find-ep", "[[1e11,Infinity],[-1e7,1e7]]"), ("surface", "[[1e11,1e12],[-1e7,Infinity]]")):
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            code = cli.main([command, "--preset", "fig5", "--out", str(tmp_path / command),
+                             "--set", f"region={bounds}"])
+        assert code == 2
+        err = capsys.readouterr().err
+        assert err.count("\n") == 1
+        assert json.loads(err)["error"] == {"type": "config", "message": "'region' must be a finite number, got inf"}
+    assert not list(tmp_path.iterdir())
 
 
 def test_unknown_config_file_key_exits_2(tmp_path, capsys):

@@ -263,6 +263,9 @@ def test_ep_search_validates_region():
         find_exceptional_points(cfg, ((-1e11, 1e12), (-1e7, 1e7)))  # negative drive strength
     with pytest.raises(ConfigError, match="seeds_per_axis"):
         find_exceptional_points(cfg, ((5e11, 1e12), (-1e7, 1e7)), seeds_per_axis=8.5)
+    for region in (((1e11, np.inf), (-1e7, 1e7)), ((1e11, 1e12), (-1e7, np.inf)), ((1e11, 1e12), (np.nan, 1e7))):
+        with pytest.raises(ConfigError, match="'region' must be a finite number"):
+            find_exceptional_points(cfg, region)
 
 
 def test_empty_region_returns_no_eps():

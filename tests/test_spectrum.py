@@ -96,6 +96,8 @@ def test_unknown_noise_channel_is_refused():
                  lambda ch: linear_system_response(1e9, cfg, ch)):
         with pytest.raises(ConfigError, match="unknown noise channels: \\['q-'\\]"):
             call({"r+", "q-"})
+        with pytest.raises(ConfigError, match="noise channels must name at least one of"):
+            call(set())
 
 
 def test_linear_response_single_frequency_only():
@@ -158,9 +160,10 @@ def test_near_singular_system_is_reported_with_its_cell(monkeypatch):
     cfg = build_config(delta_tm=-3e6, delta_te=4e6)
     omega, dets = np.array([0.9e9, 1.0e9]), np.array([-1e7, 2e6])
     monkeypatch.setattr(spectrum, "_COND_LIMIT", 1.0)
-    with pytest.raises(NumericsError, match=r"condition number \S+ at detuning_tm -3000000.0, "
-                                            r"detuning_te 4000000.0, omega 1000000000.0"):
-        psd(1e9, cfg)
+    for point in (psd, closed_form_response):
+        with pytest.raises(NumericsError, match=r"\(b, b~\) system near-singular: condition number \S+ at "
+                                                r"detuning_tm -3000000.0, detuning_te 4000000.0, omega 1000000000.0"):
+            point(1e9, cfg)
     with pytest.raises(NumericsError, match=r"at detuning_tm -3000000.0, detuning_te -10000000.0, "
                                             r"omega 900000000.0"):
         psd_map(cfg, omega, dets, swept="TE")
@@ -196,7 +199,9 @@ def test_weak_drive_two_band_structure():
 def test_overflowing_drive_raises_numerics_error_on_every_route():
     # both strengths 1e200: |g_b|^2 overflows to inf in Python floats instead of raising OverflowError
     cfg = get_preset("fig4a").config.with_strengths(tm=1e200, te=1e200)
-    with pytest.raises(NumericsError, match="closed-form response evaluated non-finite"):
+    # the closed form reads psd's elimination, so it names the cell as psd does
+    with pytest.raises(NumericsError, match=r"\(b, b~\) system near-singular: condition number nan at "
+                                            r"detuning_tm 0.0, detuning_te 0.0, omega 1000000000.0"):
         closed_form_response(1e9, cfg)
     with pytest.raises(NumericsError, match="frequency-domain system near-singular"):
         linear_system_response(1e9, cfg)
