@@ -20,6 +20,7 @@ from __future__ import annotations
 import argparse
 import copy
 import json
+import os
 import sys
 from dataclasses import dataclass
 
@@ -122,6 +123,8 @@ def load_config(path, overrides=None, base_config=None, command=None, run_params
             raise ConfigError(f"config file not found: {path}") from None
         except json.JSONDecodeError as exc:
             raise ConfigError(f"config parse error at line {exc.lineno}, column {exc.colno}: {exc.msg}") from exc
+        if not isinstance(loaded, dict):
+            raise ConfigError(f"config file {path} must hold a JSON object, got {loaded!r}")
         if "modes" in loaded:
             config_dict = loaded
         else:
@@ -148,7 +151,7 @@ def load_config(path, overrides=None, base_config=None, command=None, run_params
             name = section.replace("drive_", "") if branch == "drives" else section
             try:
                 config_dict[branch][name][field_name]
-            except KeyError:
+            except (KeyError, TypeError):  # TypeError: the file's entry is not a mapping
                 raise ConfigError(f"unknown config key {key!r}") from None
             config_dict[branch][name][field_name] = value
         else:
@@ -187,6 +190,8 @@ def make_runspec(args) -> RunSpec:
     for ext in (".csv", ".json"):
         if stem.endswith(ext):
             stem = stem[: -len(ext)]
+    if not os.path.isdir(os.path.dirname(stem) or "."):  # refused before any work, not after it
+        raise ConfigError(f"--out directory does not exist: {os.path.dirname(stem)}")
     return RunSpec(command=command, preset=args.preset, config=config, run_params=run_params,
                    out_stem=stem, formats=formats)
 
@@ -297,15 +302,6 @@ def _run_spectrum(spec: RunSpec):
     return _write_table(spec, "", table, {"swept": swept}, json_data)
 
 
-def _region_from_run(run):
-    region = run["region"]
-    try:
-        (p_lo, p_hi), (d_lo, d_hi) = region
-        return (float(p_lo), float(p_hi)), (float(d_lo), float(d_hi))
-    except (TypeError, ValueError) as exc:
-        raise ConfigError(f"malformed region {region!r}") from exc
-
-
 def _ep_records(spec, region, tie):
     locations = ep.find_exceptional_points(spec.config, region, spec.run_params["seeds_per_axis"], tie)
     return [loc.to_record() for loc in locations]
@@ -313,12 +309,12 @@ def _ep_records(spec, region, tie):
 
 def _run_surface(spec: RunSpec):
     run = spec.run_params
-    tie, region = _flag(run, "tie"), _region_from_run(run)
+    tie = _flag(run, "tie")
+    records = _ep_records(spec, run["region"], tie)  # before the surface: a malformed region costs no surface
     p_grid = _linspace(run["p_grid"], "p_grid")
     delta_grid = _linspace(run["delta_grid"], "delta_grid")
     ref = (spec.config.magnon.omega + spec.config.phonon.omega) / 2  # the resonators' midpoint
     surf = ep.riemann_surface(spec.config, p_grid, delta_grid, tie_tm_detuning=tie)
-    records = _ep_records(spec, region, tie)
     table = {"p_in": output.GridAxis(surf.p_grid, repeat=surf.delta_grid.size),
              "delta": output.GridAxis(surf.delta_grid, tile=surf.p_grid.size),
              "re_lambda_1": (surf.lambda1.real - ref).ravel(), "im_lambda_1": surf.lambda1.imag.ravel(),
@@ -335,7 +331,7 @@ def _run_surface(spec: RunSpec):
 
 def _run_find_ep(spec: RunSpec):
     run = spec.run_params
-    records = _ep_records(spec, _region_from_run(run), _flag(run, "tie"))
+    records = _ep_records(spec, run["region"], _flag(run, "tie"))
     meta, written = _meta(spec, {"count": str(len(records))}), []  # one config hash for both files
     path = _artifact(spec, "", "json")
     output.write_json(path, records, meta)

@@ -276,10 +276,13 @@ def find_exceptional_points(config_template: SystemConfig, region, seeds_per_axi
     delta where one root s is real, so that F = Im s+ * Im s- changes sign. F is sampled at
     seeds_per_axis detunings, each sign change is bisected to float adjacency, and p_in = sqrt(Re s).
     Each EP must lie in the region and have an eigenvalue gap of at most GAP_RTOL relative to
-    max(|mean eigenvalue|, 1). An empty list is a valid outcome. A region bound that is not a finite
-    number raises ConfigError naming region.
+    max(|mean eigenvalue|, 1). An empty list is a valid outcome. A region that is not a pair of bound
+    pairs, or a bound that is not a finite number, raises ConfigError.
     """
-    (p_lo, p_hi), (d_lo, d_hi) = region
+    try:
+        (p_lo, p_hi), (d_lo, d_hi) = region
+    except (TypeError, ValueError) as exc:
+        raise ConfigError(f"malformed region {region!r}") from exc
     p_lo, p_hi, d_lo, d_hi = (_number("region", bound) for bound in (p_lo, p_hi, d_lo, d_hi))
     if not (0 <= p_lo < p_hi and d_lo < d_hi):
         raise ConfigError("EP search region must be a non-degenerate rectangle at drive strengths >= 0")

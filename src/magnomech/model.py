@@ -156,20 +156,23 @@ class SystemConfig:
 
     @classmethod
     def from_dict(cls, data):
-        def fields(path, mapping):
-            return {k: _number(f"{path}.{k}", v) for k, v in mapping.items()}
+        def fields(section, name):  # each value named by its override key: magnon.omega, drive_tm.detuning
+            entry, key = data[section][name], name if section == "modes" else f"drive_{name}"
+            if not isinstance(entry, dict):
+                raise ConfigError(f"config entry '{section}.{name}' must be a mapping, got {entry!r}")
+            return {k: _number(f"{key}.{k}", v) for k, v in entry.items()}
 
+        known = {"modes": MODE_LABELS, "drives": ("tm", "te")}
         try:
-            modes = {attr: OscillatorMode(label=attr, **fields(attr, data["modes"][attr])) for attr in MODE_LABELS}
-            drives = {
-                "drive_tm": PumpDrive(target=TM_PHOTON, **fields("drive_tm", data["drives"]["tm"])),
-                "drive_te": PumpDrive(target=TE_PHOTON, **fields("drive_te", data["drives"]["te"])),
-            }
+            modes = {attr: OscillatorMode(label=attr, **fields("modes", attr)) for attr in MODE_LABELS}
+            drives = {f"drive_{name}": PumpDrive(target=target, **fields("drives", name))
+                      for name, target in (("tm", TM_PHOTON), ("te", TE_PHOTON))}
         except (KeyError, TypeError) as exc:
             raise ConfigError(f"malformed config mapping: {exc}") from exc
-        unknown = set(data) - {"modes", "drives"}
+        unknown = sorted(set(data) - set(known)) + sorted(
+            f"{section}.{name}" for section, names in known.items() for name in data[section] if name not in names)
         if unknown:
-            raise ConfigError(f"unknown config keys: {sorted(unknown)}")
+            raise ConfigError(f"unknown config keys: {unknown}")
         return cls(**modes, **drives)
 
 

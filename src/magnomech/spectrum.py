@@ -4,12 +4,11 @@ One elimination, _eliminate, reduces the closed six-variable
 frequency-domain system in (b, b~, r, r~, m, m~), where x~[w] means
 x*[-w], to a conditioning-checked 2x2 system in (b, b~): it eliminates the
 diagonal (r, r~, m, m~) block and gives each noise channel's transfer
-coefficient into b[w]. Three routes read it:
-
-- psd and psd_map sum the squared coefficients, at a point or over whole
-  grids;
-- closed_form_response returns the coefficients at one frequency, in
-  Python scalars.
+coefficient into b[w]. Like self_energy._sigma and ep._operator, it takes
+broadcast drive axes (strength_tm, strength_te, det_tm, det_te) and builds
+its own pump frame. psd and psd_map sum the squared coefficients, at a
+point or over whole grids; closed_form_response returns them at one
+frequency, in Python scalars.
 
 linear_system_response solves the 6x6 system directly and is the oracle
 that the tests hold the elimination against.
@@ -96,17 +95,19 @@ def _responses(config, omega):
             susceptibility(gm, om_m, omega), susceptibility(gm, -om_m, omega))
 
 
-def _eliminate(config, omega, det_tm, det_te, g_a, g_b, inv, inv_ref, responses):
-    """M, the (b, b~) Schur complement of A, over broadcast omega and detunings: det M and each channel's pieces.
+def _eliminate(config, omega, strength_tm, strength_te, det_tm, det_te, responses):
+    """M, the (b, b~) Schur complement of A, over broadcast omega and drive axes: det M and each channel's pieces.
 
-    Returns (det M, pieces), pieces in _CHANNEL_ORDER as triples (gamma, a, b) whose transfer coefficient into
-    b[w] is -i sqrt(gamma) a b / det M. The caller passes responses = _responses(config, omega), so a map
-    evaluates them once for all rows. With D = chi_r - chi_r~: M00 = inv + |g_b|^2 D + g_a^2 chi_m,
+    Takes the drive axes in _pump_frame's order and builds its own pump frame, as self_energy._sigma and
+    ep._operator do. Returns (det M, pieces), pieces in _CHANNEL_ORDER as triples (gamma, a, b) whose transfer
+    coefficient into b[w] is -i sqrt(gamma) a b / det M. The caller passes responses = _responses(config, omega),
+    so a map evaluates them once for all rows. With D = chi_r - chi_r~: M00 = inv + |g_b|^2 D + g_a^2 chi_m,
     M01 = g_b^2 D, M10 = -conj(g_b)^2 D and M11 = inv_ref - |g_b|^2 D + conj(g_a)^2 chi_m~. Every gamma > 0
     keeps the eliminated block regular, so A is near-singular exactly when M is, by
     ||M||_F^2 / |det M| = ||M||_F ||M^-1||_F > _COND_LIMIT, which raises NumericsError naming the first such cell.
     Scalars and arrays take the same steps through _mul and susceptibility: a grid cell rounds like its point.
     """
+    g_a, g_b, inv, inv_ref = _pump_frame(config, strength_tm, strength_te, det_tm, det_te, omega)
     gr, gm = config.phonon.gamma, config.magnon.gamma
     chi_r, chi_r_ref, chi_m, chi_m_ref = responses
     g_a_ref, g_b_ref = g_a.conjugate(), g_b.conjugate()
@@ -135,17 +136,16 @@ def closed_form_response(omega, config: SystemConfig):
     {channel: complex coefficient} per unit noise amplitude, for all four channels.
     """
     omega = _frequency(omega)
-    det, pieces = _eliminate(config, omega, config.drive_tm.detuning, config.drive_te.detuning,
-                             *_pump_frame(config, *_drives(config), omega), _responses(config, omega))
+    det, pieces = _eliminate(config, omega, *_drives(config), _responses(config, omega))
     out = {ch: -1j * math.sqrt(gamma) * a * b / det for ch, (gamma, a, b) in zip(_CHANNEL_ORDER, pieces)}
     if not all(map(cmath.isfinite, out.values())):
         raise NumericsError("closed-form response evaluated non-finite")
     return out
 
 
-def _psd(config, omega, det_tm, det_te, g_a, g_b, inv, inv_ref, responses, channels):
-    """PSD over broadcast omega and detunings: the channel sum of gamma |a|^2 |b|^2 / |det M|^2 from _eliminate."""
-    det, pieces = _eliminate(config, omega, det_tm, det_te, g_a, g_b, inv, inv_ref, responses)
+def _psd(config, omega, strength_tm, strength_te, det_tm, det_te, responses, channels):
+    """PSD over broadcast omega and drive axes: the channel sum of gamma |a|^2 |b|^2 / |det M|^2 from _eliminate."""
+    det, pieces = _eliminate(config, omega, strength_tm, strength_te, det_tm, det_te, responses)
     power = sum(gamma * _abs2(a) * _abs2(b) for (gamma, a, b), ch in zip(pieces, _CHANNEL_ORDER)
                 if ch in channels) / _abs2(det)
     if not _finite(power):
@@ -157,10 +157,8 @@ def psd(omega, config: SystemConfig, channels=ALL_CHANNELS):
     """Output PSD per unit noise level: the sum of |transfer|^2 over channels (a float at one omega)."""
     channels = _channels(channels)
     omega = _frequency(omega, grid=True)
-    frame = _pump_frame(config, *_drives(config), omega)
     with _quiet(omega):  # _psd reports a non-finite cell
-        return _psd(config, omega, config.drive_tm.detuning, config.drive_te.detuning, *frame,
-                    _responses(config, omega), channels)
+        return _psd(config, omega, *_drives(config), _responses(config, omega), channels)
 
 
 def psd_map(config_template: SystemConfig, omega_grid, detuning_grid, swept: str = "TE",
@@ -169,10 +167,10 @@ def psd_map(config_template: SystemConfig, omega_grid, detuning_grid, swept: str
 
     Returns a float array of shape (n_detuning, n_omega): row k is, bit for
     bit, the psd over omega_grid with the swept pump at detuning_grid[k].
-    The cells, couplings included, are evaluated in array passes over
-    blocks of rows, the detunings as a column, which bounds the
-    temporaries; the responses, which depend on omega alone, are
-    evaluated once, before the blocks, and handed to _psd. No config is
+    Each block of rows puts its detunings, as a column, into the swept
+    entry of the template's drive axes, and _psd builds the pump frame
+    from them; blocks bound the temporaries. The responses depend on
+    omega alone and are evaluated once, before the blocks. No config is
     rebuilt, and evaluation order never changes values.
     """
     if swept not in ("TE", "TM"):
@@ -180,20 +178,12 @@ def psd_map(config_template: SystemConfig, omega_grid, detuning_grid, swept: str
     omega_grid = _checked_grid("omega_grid", omega_grid)
     detuning_grid = _checked_grid("detuning_grid", detuning_grid)
     channels = _channels(channels)
-    det_tm, det_te = config_template.drive_tm.detuning, config_template.drive_te.detuning
-
-    def detunings(det):  # (TM, TE) with the swept pump at det
-        return (det_tm, det) if swept == "TE" else (det, det_te)
-
-    strengths = (config_template.drive_tm.effective_strength, config_template.drive_te.effective_strength)
+    drives = list(_drives(config_template))  # _pump_frame's order: the swept detuning is entry 3 (TE) or 2 (TM)
     out = np.empty((detuning_grid.size, omega_grid.size))
     rows = max(1, _BLOCK_CELLS // omega_grid.size)
     with _quiet(omega_grid):  # _psd reports a non-finite cell
         responses = _responses(config_template, omega_grid)
-    for lo in range(0, detuning_grid.size, rows):
-        block = slice(lo, lo + rows)
-        dets = detunings(detuning_grid[block, None])
-        frame = _pump_frame(config_template, *strengths, *dets, omega_grid)
-        with _quiet(omega_grid):  # _psd reports a non-finite cell
-            out[block] = _psd(config_template, omega_grid, *dets, *frame, responses, channels)
+        for lo in range(0, detuning_grid.size, rows):
+            drives[3 if swept == "TE" else 2] = detuning_grid[lo:lo + rows, None]
+            out[lo:lo + rows] = _psd(config_template, omega_grid, *drives, responses, channels)
     return out

@@ -364,6 +364,54 @@ def test_unknown_config_file_key_exits_2(tmp_path, capsys):
     assert "'run' must map" in json.loads(capsys.readouterr().err)["error"]["message"]
 
 
+def _config_error_only(tmp_path, capsys, argv):
+    """Run argv, which must exit 2 with one JSON config error on stderr and leave tmp_path as it was."""
+    before = sorted(os.listdir(tmp_path))
+    assert cli.main(argv) == 2
+    captured = capsys.readouterr()
+    assert captured.out == "" and captured.err.count("\n") == 1
+    assert sorted(os.listdir(tmp_path)) == before
+    err = json.loads(captured.err)["error"]
+    assert err["type"] == "config"
+    return err["message"]
+
+
+@pytest.mark.parametrize("text", ["null", "[[1]]", '"abc"'])
+def test_config_file_that_is_not_an_object_exits_2(tmp_path, capsys, text):
+    path = tmp_path / "top.json"
+    path.write_text(text)
+    message = _config_error_only(tmp_path, capsys, ["coupling", "--config", str(path), "--out", str(tmp_path / "x")])
+    assert message == f"config file {path} must hold a JSON object, got {json.loads(text)!r}"
+
+
+def test_config_file_nested_entry_errors_exit_2(tmp_path, capsys):
+    path = tmp_path / "nested.json"
+    for edit, argv, expected in (
+            (lambda d: d["modes"].update(magnon=5), [], "config entry 'modes.magnon' must be a mapping, got 5"),
+            (lambda d: d["drives"].update(xx={}), [], "unknown config keys: ['drives.xx']"),
+            (lambda d: d["modes"].update(magnon=5), ["--set", "magnon.omega=1e9"], "unknown config key 'magnon.omega'")):
+        payload = get_preset("fig5").config.to_dict()
+        edit(payload)
+        path.write_text(json.dumps(payload))
+        argv = ["coupling", "--config", str(path), "--out", str(tmp_path / "x"), *argv]
+        assert _config_error_only(tmp_path, capsys, argv) == expected
+
+
+def test_out_into_a_missing_directory_exits_2_before_any_work(tmp_path, capsys):
+    for command, preset in (("coupling", "fig5"), ("spectrum", "fig4a")):
+        stem = tmp_path / "missing" / "x"
+        argv = [command, "--preset", preset, "--out", str(stem), "--format", "csv,json"]
+        assert _config_error_only(tmp_path, capsys, argv) == f"--out directory does not exist: {stem.parent}"
+        assert not stem.parent.exists()
+
+
+def test_malformed_region_costs_no_surface(tmp_path, capsys, monkeypatch):
+    monkeypatch.setattr(cli.ep, "riemann_surface", lambda *args, **kwargs: pytest.fail("surface computed"))
+    argv = ["surface", "--preset", "fig5", "--out", str(tmp_path / "s"), "--set", "region=[[1e11,1e12,2e12],[0,1]]"]
+    message = _config_error_only(tmp_path, capsys, argv)
+    assert message == "malformed region [[100000000000.0, 1000000000000.0, 2000000000000.0], [0, 1]]"
+
+
 def test_unknown_preset_exits_2_and_lists_options(capsys):
     assert cli.main(["coupling", "--preset", "fig9"]) == 2
     msg = json.loads(capsys.readouterr().err)["error"]["message"]

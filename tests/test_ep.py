@@ -266,6 +266,9 @@ def test_ep_search_validates_region():
     for region in (((1e11, np.inf), (-1e7, 1e7)), ((1e11, 1e12), (-1e7, np.inf)), ((1e11, 1e12), (np.nan, 1e7))):
         with pytest.raises(ConfigError, match="'region' must be a finite number"):
             find_exceptional_points(cfg, region)
+    for region in (None, ((1e11, 1e12, 2e12), (-1e7, 1e7)), ((1e11, 1e12),), "ab"):
+        with pytest.raises(ConfigError, match=r"^malformed region "):
+            find_exceptional_points(cfg, region)
 
 
 def test_empty_region_returns_no_eps():

@@ -209,6 +209,18 @@ def test_from_dict_rejects_unknown_keys():
     payload["conjugation_convention"] = "complex_squared"
     with pytest.raises(ConfigError, match="conjugation_convention"):
         SystemConfig.from_dict(payload)
+    # nested names are checked too, and a mode or drive entry must be a mapping
+    for section, name, value, message in (
+            ("modes", "magnon2", payload["modes"]["magnon"], "unknown config keys: ['modes.magnon2']"),
+            ("drives", "xx", {}, "unknown config keys: ['drives.xx']"),
+            ("modes", "magnon", 5, "config entry 'modes.magnon' must be a mapping, got 5"),
+            ("drives", "tm", [1], "config entry 'drives.tm' must be a mapping, got [1]"),
+            ("drives", "te", None, "config entry 'drives.te' must be a mapping, got None")):
+        payload = build_config().to_dict()
+        payload[section][name] = value
+        with pytest.raises(ConfigError) as info:
+            SystemConfig.from_dict(payload)
+        assert str(info.value) == message
 
 
 def test_sweep_helpers_leave_other_fields_untouched():
