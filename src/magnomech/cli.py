@@ -22,7 +22,7 @@ import copy
 import json
 import os
 import sys
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 import numpy as np
 
@@ -104,27 +104,37 @@ def _set_nested(tree, dotted, value):
     node[parts[-1]] = value
 
 
-def load_config(path, overrides=None, base_config=None, command=None, run_params=None):
-    """Build a validated SystemConfig plus run parameters from a file and overrides.
+def make_runspec(args) -> RunSpec:
+    """Read parsed arguments into a RunSpec, over --preset or else the command's DEFAULT_BASE.
 
-    The file holds {"config": {...}, "run": {...}}, either part optional;
-    a bare config mapping (with a "modes" key) is also accepted. Overrides
-    are KEY=VALUE strings addressing documented keys. The file's run keys
-    and --set's pass one check: an unknown key is rejected with its name.
+    The --config file holds {"config": {...}, "run": {...}}, either part
+    optional; a bare config mapping (with a "modes" key) is also accepted.
+    --set takes KEY=VALUE strings addressing documented keys. The file's run
+    keys and --set's pass one check: an unknown key is rejected with its name.
     """
-    config_dict = base_config.to_dict() if base_config is not None else None
-    run_params = copy.deepcopy(run_params or {})
+    command = args.command
+    if args.preset is not None:
+        base, trim = presets.get_preset(args.preset), {}
+        # coupling only reads the config; find-ep shares the surface presets
+        compatible = (base.command == command or command == "coupling"
+                      or (command == "find-ep" and base.command == "surface"))
+        if not compatible:
+            raise ConfigError(f"preset {base.name!r} belongs to command {base.command!r}")
+    else:
+        base_name, trim = DEFAULT_BASE[command]
+        base = presets.get_preset(base_name)
+    config_dict, run_params = base.config.to_dict(), copy.deepcopy({**base.run_params, **trim})
     run_items = []  # (key, value), the file's first so that --set overrides it
-    if path is not None:
+    if args.config is not None:
         try:
-            with open(path) as fh:
+            with open(args.config) as fh:
                 loaded = json.load(fh)
         except FileNotFoundError:
-            raise ConfigError(f"config file not found: {path}") from None
+            raise ConfigError(f"config file not found: {args.config}") from None
         except json.JSONDecodeError as exc:
             raise ConfigError(f"config parse error at line {exc.lineno}, column {exc.colno}: {exc.msg}") from exc
         if not isinstance(loaded, dict):
-            raise ConfigError(f"config file {path} must hold a JSON object, got {loaded!r}")
+            raise ConfigError(f"config file {args.config} must hold a JSON object, got {loaded!r}")
         if "modes" in loaded:
             config_dict = loaded
         else:
@@ -137,9 +147,7 @@ def load_config(path, overrides=None, base_config=None, command=None, run_params
             if not isinstance(run_section, dict):
                 raise ConfigError(f"config-file 'run' must map dotted run keys to values, got {run_section!r}")
             run_items += run_section.items()
-    if config_dict is None:
-        raise ConfigError("no configuration available: pass --preset or --config")
-    for item in overrides or []:
+    for item in args.overrides:
         if "=" not in item:
             raise ConfigError(f"--set expects KEY=VALUE, got {item!r}")
         key, raw = item.split("=", 1)
@@ -157,29 +165,10 @@ def load_config(path, overrides=None, base_config=None, command=None, run_params
         else:
             run_items.append((key, value))
     for key, value in run_items:
-        if key not in RUN_KEYS.get(command, ()):
+        if key not in RUN_KEYS[command]:
             raise ConfigError(f"unknown run key {key!r} for command {command!r}")
         _set_nested(run_params, key, value)
-    return SystemConfig.from_dict(config_dict), run_params
-
-
-def make_runspec(args) -> RunSpec:
-    command = args.command
-    if args.preset is not None:
-        preset = presets.get_preset(args.preset)
-        # coupling only reads the config; find-ep shares the surface presets
-        compatible = (preset.command == command or command == "coupling"
-                      or (command == "find-ep" and preset.command == "surface"))
-        if not compatible:
-            raise ConfigError(f"preset {preset.name!r} belongs to command {preset.command!r}")
-        base_config, base_run = preset.config, copy.deepcopy(preset.run_params)
-    else:
-        base_name, trim = DEFAULT_BASE[command]
-        preset = None
-        base = presets.get_preset(base_name)
-        base_config, base_run = base.config, {**copy.deepcopy(base.run_params), **copy.deepcopy(trim)}
-    config, run_params = load_config(args.config, args.overrides, base_config=base_config,
-                                     command=command, run_params=base_run)
+    config = SystemConfig.from_dict(config_dict)
     formats = tuple(f.strip() for f in args.format.split(",") if f.strip())
     bad = set(formats) - {"csv", "json"}
     if bad or not formats:
@@ -302,15 +291,24 @@ def _run_spectrum(spec: RunSpec):
     return _write_table(spec, "", table, {"swept": swept}, json_data)
 
 
-def _ep_records(spec, region, tie):
-    locations = ep.find_exceptional_points(spec.config, region, spec.run_params["seeds_per_axis"], tie)
+def _ep_records(spec, tie):
+    run = spec.run_params
+    locations = ep.find_exceptional_points(spec.config, run["region"], run["seeds_per_axis"], tie)
     return [loc.to_record() for loc in locations]
+
+
+def _write_eps(spec, suffix, records, formats):
+    """Write EP records as the JSON list and, where formats name csv, as a table of their columns."""
+    table = {c: np.array([r[c] for r in records], dtype=float)
+             for c in ("p_in", "delta", "residual", "lambda_re", "lambda_im", "gap")}
+    return _write_table(replace(spec, formats=formats), suffix, table, {"count": str(len(records))},
+                        lambda cells: records)
 
 
 def _run_surface(spec: RunSpec):
     run = spec.run_params
     tie = _flag(run, "tie")
-    records = _ep_records(spec, run["region"], tie)  # before the surface: a malformed region costs no surface
+    records = _ep_records(spec, tie)  # before the surface: a malformed region costs no surface
     p_grid = _linspace(run["p_grid"], "p_grid")
     delta_grid = _linspace(run["delta_grid"], "delta_grid")
     ref = (spec.config.magnon.omega + spec.config.phonon.omega) / 2  # the resonators' midpoint
@@ -322,26 +320,12 @@ def _run_surface(spec: RunSpec):
              "near_ep_flag": surf.near_ep.ravel().astype(int)}
     extra = {"reference_frequency": repr(ref),
              "note": "re_lambda columns are offsets from reference_frequency"}
-    written = _write_table(spec, "", table, extra)
-    path = _artifact(spec, "_eps", "json")
-    output.write_json(path, records, _meta(spec, {"count": str(len(records))}))
-    written.append(path)
-    return written
+    return _write_table(spec, "", table, extra) + _write_eps(spec, "_eps", records, ("json",))
 
 
 def _run_find_ep(spec: RunSpec):
-    run = spec.run_params
-    records = _ep_records(spec, run["region"], _flag(run, "tie"))
-    meta, written = _meta(spec, {"count": str(len(records))}), []  # one config hash for both files
-    path = _artifact(spec, "", "json")
-    output.write_json(path, records, meta)
-    written.append(path)
-    if "csv" in spec.formats:
-        path = _artifact(spec, "", "csv")
-        columns = ("p_in", "delta", "residual", "lambda_re", "lambda_im", "gap")
-        output.write_csv(path, {c: np.array([r[c] for r in records], dtype=float) for c in columns}, meta)
-        written.append(path)
-    return written
+    records = _ep_records(spec, _flag(spec.run_params, "tie"))
+    return _write_eps(spec, "", records, (*spec.formats, "json"))  # the JSON list is always written
 
 
 def _loop_from_run(run):

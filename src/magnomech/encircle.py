@@ -28,7 +28,7 @@ import math
 import numpy as np
 
 from .errors import ConfigError, NumericsError
-from .ep import GAP_RTOL, _degenerate, _ellipse, _plane, eigenpairs, hamiltonian_on_plane
+from .ep import GAP_RTOL, _degenerate, _ellipse, _loop_axes, _plane, eigenpairs, hamiltonian_on_plane
 from .model import SystemConfig, _count, _number
 
 RTOL = 1e-8  # default pass-to-pass agreement at which transport stops doubling its substep count
@@ -52,20 +52,12 @@ class LoopSpec:
     def __post_init__(self):
         if self.direction not in ("cw", "ccw"):
             raise ConfigError(f"LoopSpec.direction must be 'cw' or 'ccw', got {self.direction!r}")
-        for name in ("center", "radius"):
-            if np.shape(getattr(self, name)) != (2,):
-                raise ConfigError(f"LoopSpec.{name} must be a (p_in, delta) pair, got {getattr(self, name)!r}")
         # each number is kept as the Python number it was checked as; an error names its run key
-        for name, value in (("center", tuple(map(_number, ("loop.center_p", "loop.center_delta"), self.center))),
-                            ("radius", tuple(map(_number, ("loop.radius_p", "loop.radius_delta"), self.radius))),
+        for name, value in (*zip(("center", "radius"), _loop_axes("LoopSpec", self.center, self.radius)),
                             ("period", _number("loop.period", self.period)),
                             ("start_phase", _number("loop.start_phase", self.start_phase)),
                             ("samples", _count("loop.samples", self.samples, 64))):
             object.__setattr__(self, name, value)
-        # a semi-axis may be 0: radius (0, 0) is a constant-parameter loop used for stationarity checks
-        for key, semi_axis in zip(("loop.radius_p", "loop.radius_delta"), self.radius):
-            if semi_axis < 0:
-                raise ConfigError(f"LoopSpec semi-axis {key!r} must be >= 0, got {semi_axis!r}")
         if self.period <= 0:
             raise ConfigError(f"LoopSpec 'loop.period' must be positive, got {self.period!r}")
 
@@ -101,8 +93,8 @@ def _params_at(loop: LoopSpec, t):
 
 
 def parameters_at(loop: LoopSpec, t):
-    """Loop position (p_in, delta) at time t in [0, period]."""
-    t = float(t)
+    """Loop position (p_in, delta) at time t in [0, period]; a t that is not a finite number raises ConfigError."""
+    t = _number("t", t)
     if not 0 <= t <= loop.period:
         raise ConfigError(f"t must lie in [0, period], got {t!r}")
     p, d = _params_at(loop, t)
@@ -124,13 +116,17 @@ def energy_fractions(states, basis):
     """Expand states in the (v_a, v_b) basis; return per-sample (f_a, f_b).
 
     Fractions are ratios of squared expansion magnitudes, so they are
-    invariant under rescaling any state by a nonzero complex number.
+    invariant under rescaling any state by a nonzero complex number. The
+    basis is refused as dependent by |det| relative to |v_a| |v_b|, so a
+    rescaled basis gets the same verdict and the same fractions.
     """
     v_a, v_b = basis
     m = np.column_stack([v_a, v_b]).astype(complex)
-    if abs(np.linalg.det(m)) <= 1e-6:
+    if abs(np.linalg.det(m)) <= 1e-6 * np.linalg.norm(v_a) * np.linalg.norm(v_b):
         raise ConfigError("supermode basis is (numerically) dependent; projection undefined")
     states = np.atleast_2d(np.asarray(states, dtype=complex))
+    if not np.isfinite(states).all():
+        raise ConfigError("cannot project a non-finite state")
     coeffs = np.linalg.solve(m, states.T).T
     power = np.abs(coeffs) ** 2
     total = power.sum(axis=1, keepdims=True)
@@ -232,18 +228,27 @@ def _disagreement(previous, current):
             "log_norm": float(np.max(np.abs(ln1 - ln0) / np.maximum(1.0, np.abs(ln1))))}
 
 
+def _unit_state(state):
+    """state over its norm; anything but a finite, nonzero vector of length 2 (of finite norm) raises ConfigError."""
+    try:
+        u = np.asarray(state, dtype=complex)
+    except (TypeError, ValueError):
+        u = np.empty(0)
+    with np.errstate(over="ignore"):  # a norm that overflows is refused, as inf
+        norm = np.linalg.norm(u) if u.shape == (2,) else 0.0
+    if not 0 < norm < math.inf:
+        raise ConfigError(f"initial_state must be a finite, nonzero vector of length 2, got {state!r}")
+    return u / norm
+
+
 def _evolve(loop, config_template, initial_state, rtol, tie_tm_detuning, senses):
     if not 0 < rtol < np.inf:
         raise ConfigError(f"rtol must be finite and positive, got {rtol!r}")
+    u0 = None if initial_state is None else _unit_state(initial_state)  # checked before the basis is built
     # the reversed loop starts at the same point, so one basis serves both senses
     basis = initial_basis(loop, config_template, tie_tm_detuning)
-    if initial_state is None:
-        initial_state = basis[0]
-    u0 = np.asarray(initial_state, dtype=complex)
-    n0 = np.linalg.norm(u0)
-    if n0 == 0:
-        raise ConfigError("initial_state must be nonzero")
-    u0 = u0 / n0
+    if u0 is None:
+        u0 = _unit_state(basis[0])
     intervals = loop.samples - 1
     substeps, previous, passes = 4, None, 0
     while True:

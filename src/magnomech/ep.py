@@ -330,6 +330,24 @@ def find_exceptional_points(config_template: SystemConfig, region, seeds_per_axi
     return found
 
 
+def _loop_axes(owner, center, radius):
+    """center and radius as pairs of Python floats, each number checked under its loop run key.
+
+    Anything but two pairs of finite numbers with semi-axes >= 0 raises ConfigError naming owner;
+    a semi-axis may be 0, and radius (0, 0) is a constant-parameter loop.
+    """
+    pairs = []
+    for name, pair in (("center", center), ("radius", radius)):
+        keys = (f"loop.{name}_p", f"loop.{name}_delta")
+        if np.asarray(pair, dtype=object).shape != (2,):  # as objects, a ragged pair has a shape too
+            raise ConfigError(f"{owner}.{name} must be a (p_in, delta) pair, got {pair!r}")
+        pairs.append(tuple(map(_number, keys, pair)))
+    for key, semi_axis in zip(keys, pairs[1]):  # the radius's keys, from the last pass
+        if semi_axis < 0:
+            raise ConfigError(f"{owner} semi-axis {key!r} must be >= 0, got {semi_axis!r}")
+    return pairs
+
+
 def _ellipse(center, radius, theta):
     """Point (p_in, delta) at angle theta on the loop with this center and (p_in, delta) semi-axes."""
     (p_c, d_c), (r_p, r_d) = center, radius
@@ -339,10 +357,11 @@ def _ellipse(center, radius, theta):
 def monodromy_swapped(config_template: SystemConfig, center, radius, tie_tm_detuning: bool = False) -> bool:
     """Continuity-track the eigenvalue pair once around the loop (center, radius) at MONODROMY_SAMPLES points.
 
-    radius is the (p_in, delta) pair of semi-axes, as in encircle.LoopSpec. Returns True when one
-    circuit exchanges the two branches (square-root branch-point behavior), False when each returns
-    to itself.
+    radius is the (p_in, delta) pair of semi-axes, checked as encircle.LoopSpec checks it. Returns
+    True when one circuit exchanges the two branches (square-root branch-point behavior), False when
+    each returns to itself.
     """
+    center, radius = _loop_axes("monodromy_swapped", center, radius)
     thetas = np.linspace(0.0, 2 * np.pi, MONODROMY_SAMPLES)
     p_in, delta = _ellipse(center, radius, thetas)
     plus, minus = _roots(*_plane(config_template, p_in, delta, tie_tm_detuning), p_in=p_in, delta=delta)

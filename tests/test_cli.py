@@ -720,6 +720,23 @@ def test_find_ep_with_no_eps_writes_header_only(tmp_path):
     assert [line for line in lines if not line.startswith("#")] == ["p_in,delta,residual,lambda_re,lambda_im,gap"]
 
 
+@pytest.mark.parametrize("region, count", [(None, 1), ("[[1e11,2e11],[0,1e6]]", 0)])
+@pytest.mark.parametrize("fmt, exts", [("csv", ["csv", "json"]), ("json", ["json"]), ("csv,json", ["csv", "json"])])
+def test_find_ep_file_set_per_format(tmp_path, capsys, fmt, exts, region, count):
+    stem = str(tmp_path / "eps")
+    argv = ["find-ep", "--preset", "fig5", "--out", stem, "--format", fmt, "--set", "seeds_per_axis=12"]
+    assert cli.main(argv + (["--set", f"region={region}"] if region else [])) == 0
+    # the JSON list is written whatever --format says, and the CSV of its columns where csv is asked for
+    assert capsys.readouterr().out.splitlines() == [f"wrote {stem}.{ext}" for ext in exts]
+    assert sorted(p.name for p in tmp_path.iterdir()) == [f"eps.{ext}" for ext in exts]
+    doc = read_json(stem + ".json")
+    assert len(doc["data"]) == count and doc["metadata"]["count"] == str(count)
+    if "csv" in exts:
+        header, rows = read_rows(stem + ".csv")
+        assert header == ["p_in", "delta", "residual", "lambda_re", "lambda_im", "gap"]
+        assert rows == [[record[c] for c in header] for record in doc["data"]]  # [] for no EP: the header only
+
+
 def test_compact_json_keeps_the_indented_data_section(tmp_path):
     data = {"b": [1.5, float("nan"), {"z": -0.0, "a": [float("inf"), 5e-324]}], "a": (1, 2)}
     compact, indented = str(tmp_path / "compact.json"), str(tmp_path / "indented.json")

@@ -109,6 +109,23 @@ def test_parameters_at_rejects_out_of_range():
         parameters_at(loop, loop.period * 1.01)
 
 
+@pytest.mark.parametrize("name, value", [
+    *[("initial_state", state) for state in ([1, 0, 0], [[1, 0], [0, 1]], [1], [np.nan, 1], [np.inf, 0], [0, 0],
+                                             [1e200, 1e200], "ab", {})],
+    *[("t", t) for t in ("abc", None, [1e-7], np.nan)],
+])
+def test_loop_layer_refuses_malformed_inputs(name, value):
+    _, cfg = preset_loop("fig6a")
+    # no basis can be built at this degenerate start, so an initial_state error shows the state is checked first
+    at_ep = LoopSpec(center=(EP_P_IN, EP_DELTA), radius=(0.0, 0.0),
+                     direction="ccw", period=1e-4, start_phase=0.0, samples=64)
+    with pytest.raises(ConfigError, match=f"^'?{name}'? must be a finite"):
+        if name == "t":
+            parameters_at(at_ep, value)
+        else:
+            evolve(at_ep, cfg, initial_state=value)
+
+
 def test_initial_basis_diagonal_start_is_coordinate_basis():
     cfg = build_config()  # omega_r > omega_m, so the phonon axis carries the larger Re
     loop = LoopSpec(center=(0.0, -5e6), radius=(0.0, 0.0),
@@ -159,6 +176,14 @@ def test_energy_fractions_rejects_dependent_basis():
         energy_fractions(np.array([v]), (v, v * 1.0000001))
     with pytest.raises(ConfigError):
         energy_fractions(np.array([[0.0, 0.0]]), (np.array([1.0, 0.0]), np.array([0.0, 1.0])))
+    # the dependence bound is relative: a well-conditioned basis scaled down keeps the unit basis's fractions
+    v_a, v_b = np.array([1.0, 1.0j]) / np.sqrt(2), np.array([1.0, -0.5j]) / np.sqrt(1.25)
+    states = np.array([[0.6, 0.8j], [1.0, 2.0 - 1.0j]])
+    assert np.allclose(energy_fractions(states, (v_a * 1e-4, v_b * 1e-4)), energy_fractions(states, (v_a, v_b)),
+                       rtol=1e-12, atol=0)
+    for state in ([np.nan, 1.0], [1.0, np.inf]):
+        with pytest.raises(ConfigError, match="non-finite state"):
+            energy_fractions(np.array([state]), (v_a, v_b))
 
 
 def test_fractions_sum_to_one_and_states_unit_norm():

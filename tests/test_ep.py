@@ -350,6 +350,22 @@ def test_monodromy_swap_around_ep_and_not_elsewhere():
     assert not monodromy_swapped(cfg, (0.87e12, -5.5e6), radius=(1e11, 1e6))
 
 
+@pytest.mark.parametrize("center, radius, match", [
+    ((1e12, 2e6, 3.0), (1e11, 1e6), r"^monodromy_swapped\.center must be a \(p_in, delta\) pair"),
+    (((1e12, 2e6), 3.0), (1e11, 1e6), "'loop.center_p' must be a finite number"),
+    ("ab", (1e11, 1e6), r"^monodromy_swapped\.center must be a \(p_in, delta\) pair"),
+    ((EP_P_IN, EP_DELTA), (1e11,), r"^monodromy_swapped\.radius must be a \(p_in, delta\) pair"),
+    ((EP_P_IN, EP_DELTA), None, r"^monodromy_swapped\.radius must be a \(p_in, delta\) pair"),
+    ((np.inf, EP_DELTA), (1e11, 1e6), "'loop.center_p' must be a finite number"),
+    ((EP_P_IN, EP_DELTA), (1e11, np.nan), "'loop.radius_delta' must be a finite number"),
+    ((EP_P_IN, EP_DELTA), (-1e11, 1e6), "semi-axis 'loop.radius_p' must be >= 0"),
+], ids=["center-triple", "center-ragged", "center-string", "radius-single", "radius-none", "center-inf",
+        "radius-nan", "radius-negative"])
+def test_monodromy_checks_its_loop_as_loopspec_does(center, radius, match):
+    with pytest.raises(ConfigError, match=match):
+        monodromy_swapped(get_preset("fig5").config, center, radius)
+
+
 def test_overflowing_drive_raises_numerics_error():
     # |g_b|^2 overflows to inf, never to a Python OverflowError, and the matrix check reports it
     fig2a = get_preset("fig2a").config
