@@ -13,7 +13,6 @@ hbar = 1 throughout.
 from .encircle import (
     LoopSpec,
     Trajectory,
-    ChiralityReport,
     chirality_report,
     energy_fractions,
     evolve,
@@ -62,7 +61,6 @@ from .spectrum import (
 __version__ = "0.1.0"
 
 __all__ = [
-    "ChiralityReport",
     "ConfigError",
     "EffectiveCoupling",
     "EigenPair",

@@ -208,27 +208,20 @@ def _names(raw):
     return [str(n).strip() for n in names]
 
 
-def _meta(spec, extra=None):
-    return output.metadata_block(spec.command, spec.preset, spec.config, spec.run_params, extra)
-
-
-def _artifact(spec, suffix, ext):
-    return f"{spec.out_stem}{suffix}.{ext}"
-
-
 def _write_table(spec, suffix, table, extra=None, json_data=output.json_rows):
-    """Write a column table as CSV and, per --format, JSON; return the paths.
+    """Write a column table as CSV and JSON, as spec.formats asks; return the paths. Every artifact goes here.
 
     Each column is formatted once, and both files are joined from those cell
     strings: the JSON data is json_data of each column's JSON cell text.
     """
     cells = {name: output.format_column(col) for name, col in table.items()}
-    meta, written = _meta(spec, extra), []  # one config hash for both files
+    meta = output.metadata_block(spec.command, spec.preset, spec.config, spec.run_params, extra)
+    written = []  # both files carry one metadata block, so one config hash
     if "csv" in spec.formats:
-        written.append(_artifact(spec, suffix, "csv"))
+        written.append(f"{spec.out_stem}{suffix}.csv")
         output.write_csv(written[-1], table, meta, list(cells.values()))
     if "json" in spec.formats:
-        written.append(_artifact(spec, suffix, "json"))
+        written.append(f"{spec.out_stem}{suffix}.json")
         cells = {name: output.json_cells(table[name], text) for name, text in cells.items()}
         output.write_json(written[-1], json_data(cells), meta)
     return written
@@ -355,10 +348,7 @@ def _run_encircle(spec: RunSpec):
                  "substeps": str(traj.substeps), "passes": str(traj.passes),
                  **{f"disagreement_{key}": repr(value) for key, value in traj.disagreement.items()}}
         written += _write_table(spec, suffix, _trajectory_table(traj), extra)
-    path = _artifact(spec, "_chirality", "json")
-    output.write_json(path, report.to_dict(), _meta(spec))
-    written.append(path)
-    return written
+    return written + _write_table(replace(spec, formats=("json",)), "_chirality", {}, json_data=lambda cells: report)
 
 
 _RUNNERS = {

@@ -122,6 +122,8 @@ def energy_fractions(states, basis):
     """
     v_a, v_b = basis
     m = np.column_stack([v_a, v_b]).astype(complex)
+    if not np.isfinite(m).all():  # refused before det, which would warn and give nan
+        raise ConfigError("supermode basis is not finite; projection undefined")
     if abs(np.linalg.det(m)) <= 1e-6 * np.linalg.norm(v_a) * np.linalg.norm(v_b):
         raise ConfigError("supermode basis is (numerically) dependent; projection undefined")
     states = np.atleast_2d(np.asarray(states, dtype=complex))
@@ -306,63 +308,34 @@ def evolve_both_directions(loop: LoopSpec, config_template: SystemConfig, rtol: 
     return tuple(_evolve(loop, config_template, None, rtol, tie_tm_detuning, (1, -1)))
 
 
-@dataclass(frozen=True)
-class ChiralityReport:
-    final_fraction_difference: float
-    max_aligned_difference: float
-    amplitude_first: float
-    amplitude_second: float
-    duration_first: float
-    duration_second: float
-    align_shift: int
-
-    def to_dict(self):
-        return {
-            "final_fraction_difference": self.final_fraction_difference,
-            "max_aligned_difference": self.max_aligned_difference,
-            "oscillation": {
-                "first": {"amplitude": self.amplitude_first, "duration_phase": self.duration_first},
-                "second": {"amplitude": self.amplitude_second, "duration_phase": self.duration_second},
-            },
-            "align_shift": self.align_shift,
-            "slope_threshold": SLOPE_THRESHOLD,
-        }
-
-
-def _oscillation_metrics(traj: Trajectory):
+def _oscillation(traj: Trajectory):
+    """The swing of f_a over the loop and the phase over which |d f_a / d theta| exceeds SLOPE_THRESHOLD."""
     f_a = traj.fractions[:, 0]
-    amplitude = float(f_a.max() - f_a.min())
     dtheta = 2 * np.pi / max(traj.theta.size - 1, 1)
     slope = np.abs(np.gradient(f_a, dtheta))
-    duration = float(np.count_nonzero(slope > SLOPE_THRESHOLD) * dtheta)
-    return amplitude, duration
+    return {"amplitude": float(f_a.max() - f_a.min()),
+            "duration_phase": float(np.count_nonzero(slope > SLOPE_THRESHOLD) * dtheta)}
 
 
-def chirality_report(traj_first: Trajectory, traj_second: Trajectory,
-                     align_shift: int = 0) -> ChiralityReport:
-    """Compare two loop traversals (typically opposite directions).
+def chirality_report(traj_first: Trajectory, traj_second: Trajectory, align_shift: int = 0) -> dict:
+    """Compare two loop traversals (typically opposite directions) in the record `_chirality.json` holds.
 
     The second trajectory's fraction series may be re-indexed by
-    align_shift samples before comparison (half the sample count realizes
-    the half-period phase alignment between opposite traversals of the
-    same loop). An oscillation's duration is the phase over which
-    |d f_a / d theta| exceeds SLOPE_THRESHOLD. With align_shift 0 and
-    identical inputs every metric is 0.
+    align_shift samples before the pointwise comparison (half the sample
+    count realizes the half-period phase alignment between opposite
+    traversals of the same loop). With align_shift 0 and identical inputs
+    both differences are 0 and the two oscillations are equal.
     """
     if traj_first.fractions.shape != traj_second.fractions.shape:
         raise ConfigError("trajectories have mismatched sampling; re-run with equal sample counts")
     if traj_first.times.shape != traj_second.times.shape or not np.allclose(
             traj_first.times, traj_second.times):
         raise ConfigError("trajectories cover different time grids")
-    f_1 = traj_first.fractions[:, 0]
-    f_2_raw = traj_second.fractions[:, 0]
-    f_2 = np.roll(f_2_raw, int(align_shift))
-    amp_1, dur_1 = _oscillation_metrics(traj_first)
-    amp_2, dur_2 = _oscillation_metrics(traj_second)
-    return ChiralityReport(
-        final_fraction_difference=float(abs(f_1[-1] - f_2_raw[-1])),
-        max_aligned_difference=float(np.max(np.abs(f_1 - f_2))),
-        amplitude_first=amp_1, amplitude_second=amp_2,
-        duration_first=dur_1, duration_second=dur_2,
-        align_shift=int(align_shift),
-    )
+    f_1, f_2 = traj_first.fractions[:, 0], traj_second.fractions[:, 0]
+    return {
+        "final_fraction_difference": float(abs(f_1[-1] - f_2[-1])),
+        "max_aligned_difference": float(np.max(np.abs(f_1 - np.roll(f_2, int(align_shift))))),
+        "oscillation": {"first": _oscillation(traj_first), "second": _oscillation(traj_second)},
+        "align_shift": int(align_shift),
+        "slope_threshold": SLOPE_THRESHOLD,
+    }

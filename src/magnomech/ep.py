@@ -21,8 +21,8 @@ import math
 import numpy as np
 
 from .errors import ConfigError, NumericsError
-from .model import (SystemConfig, _abs, _at_first, _checked_grid, _count, _drives, _every, _finite, _frequency, _mul,
-                    _number, _pump_frame, _quiet, _reciprocal)
+from .model import (SystemConfig, _abs, _checked_grid, _count, _drives, _every, _finite, _frequency, _mul, _number,
+                    _pump_frame, _quiet, _reciprocal, _require_finite)
 from .self_energy import _dressing, _mediated
 
 GAP_RTOL = 1e-6  # eigenvalue gap, relative to max(|mean eigenvalue|, 1), at or below which a pair is degenerate
@@ -76,17 +76,6 @@ def _operator(config, strength_tm, strength_te, det_tm, det_te, **where):
                    config.magnon.omega - 0.5j * config.magnon.gamma + _dressing("mm", *args))
     _require_finite("effective 2x2 matrix evaluated non-finite", entries, where)
     return entries
-
-
-def _require_finite(message, values, where, cause=""):
-    """NumericsError if one of values is not finite, naming on a grid the first bad cell by where or else by index."""
-    if all(map(_finite, values)):
-        return
-    if isinstance(values[0], np.ndarray):
-        bad = ~np.isfinite(values).all(axis=0)
-        cell = zip(where, _at_first(bad, *where.values())) if where else [("index", np.argwhere(bad)[0].tolist())]
-        message += " at " + ", ".join(f"{name} {value!r}" for name, value in cell)
-    raise NumericsError(message + cause)
 
 
 def _pack(h00, h01, h10, h11):

@@ -267,6 +267,17 @@ def _at_first(bad, *values):
     return tuple(float(np.broadcast_to(value, bad.shape).flat[k]) for value in values)
 
 
+def _require_finite(message, values, where, cause=""):
+    """NumericsError if one of values is not finite, naming on a grid the first bad cell by where or else by index."""
+    if all(map(_finite, values)):
+        return
+    if isinstance(values[0], np.ndarray):
+        bad = ~np.isfinite(values).all(axis=0)
+        cell = zip(where, _at_first(bad, *where.values())) if where else [("index", np.argwhere(bad)[0].tolist())]
+        message += " at " + ", ".join(f"{name} {value!r}" for name, value in cell)
+    raise NumericsError(message + cause)
+
+
 def _checked_grid(name, grid, increasing=False):
     """A sweep axis as a float array: non-empty, 1-D, strictly monotone (or strictly increasing)."""
     grid = np.asarray(grid, dtype=float)

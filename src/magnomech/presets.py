@@ -30,7 +30,6 @@ class Preset:
     config: SystemConfig
     run_params: dict
     citations: tuple = ()
-    notes: str = ""
 
 
 def _config(omega_m, omega_r, gamma=2e7, strength_tm=0.0, strength_te=0.0,
@@ -68,7 +67,7 @@ _SE_CITATIONS = (
 )
 
 
-def _se_preset(name, part, diagonal, n, extra_notes=""):
+def _se_preset(name, part, diagonal, n):
     grid = [-_SE_SPAN, _SE_SPAN, n]
     return Preset(
         name=name, command="self-energy", config=_SE_CONFIG,
@@ -76,7 +75,6 @@ def _se_preset(name, part, diagonal, n, extra_notes=""):
         citations=_SE_CITATIONS + (
             Citation("run.tm_grid", grid, "detuning axis spans +-5 dampings"),
         ),
-        notes=("single-pump-frequency cut: both detunings swept together. " if diagonal else "") + extra_notes,
     )
 
 
@@ -163,25 +161,21 @@ def _loop_preset(name, center_delta, direction, start_phase):
             Citation("run.loop.radius_delta", 1e6, "loop semi-axis 1 MHz along the detuning axis"),
             Citation("run.loop.period", _LOOP_PERIOD, "desk-scale period 100 us (long-form 10 ms)"),
         ),
-        notes="opposite-direction twin carries a half-turn start phase",
     )
 
 
 def _build_registry():
     presets = [
-        _se_preset("fig2a", "rr", True, 201,
-                   "mechanical self-energy: frequency shift and damping shift"),
-        _se_preset("fig2b", "mm", True, 201,
-                   "magnon self-energy: both shifts take either sign"),
-        _se_preset("fig2c", "mm", False, 101, "magnon frequency shift over the detuning plane"),
-        _se_preset("fig2d", "mm", False, 101, "magnon damping shift over the detuning plane"),
+        _se_preset("fig2a", "rr", True, 201),
+        _se_preset("fig2b", "mm", True, 201),
+        # one run for two panels: fig2c plots its frequency shift, fig2d its damping shift
+        _se_preset("fig2c", "mm", False, 101),
+        _se_preset("fig2d", "mm", False, 101),
         Preset(
             name="fig3", command="self-energy", config=_SE_CONFIG,
             run_params={"parts": ["mr", "rm"], "diagonal": False,
                         "tm_grid": [-_SE_SPAN, _SE_SPAN, 101], "te_grid": [-_SE_SPAN, _SE_SPAN, 101]},
             citations=_SE_CITATIONS,
-            notes="mediated coupling, both directions; equal magnitudes, relative phase twice the "
-                  "TE coupling phase",
         ),
         _spec_preset("fig4a", "TE", _SPEC_WEAK, 0.0),
         _spec_preset("fig4b", "TE", _SPEC_STRONG, 0.0),
@@ -189,18 +183,16 @@ def _build_registry():
         _spec_preset("fig4d", "TM", _SPEC_WEAK, 0.0),
         _spec_preset("fig4e", "TM", _SPEC_STRONG, 0.0),
         _spec_preset("fig4f", "TM", _SPEC_STRONG, -3e6),
-        Preset(
+        Preset(  # the window holds the plane's discriminant zero and the loop centers
             name="fig5", command="surface", config=_EP_CONFIG, run_params=dict(_FIG5_RUN),
             citations=_EP_CITATIONS + (
                 Citation("run.seeds_per_axis", 24, "coarse seeding density for the EP search"),
             ),
-            notes="window chosen to contain the plane's discriminant zero and the loop centers",
         ),
         Preset(
             name="fig5_tied", command="surface", config=_EP_CONFIG,
             run_params={**_FIG5_RUN, "tie": True},
             citations=_EP_CITATIONS,
-            notes="variant with the TM detuning tied to the swept TE detuning",
         ),
         _loop_preset("fig6a", -5.5e6, "ccw", 0.0),
         _loop_preset("fig6b", -5.5e6, "cw", 3.141592653589793),

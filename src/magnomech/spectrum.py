@@ -27,8 +27,8 @@ import math
 import numpy as np
 
 from .errors import ConfigError, NumericsError
-from .model import (SystemConfig, _abs, _at_first, _checked_grid, _drives, _every, _finite, _frequency, _mul,
-                    _pump_frame, _quiet, susceptibility)
+from .model import (SystemConfig, _abs, _at_first, _checked_grid, _drives, _every, _frequency, _mul, _pump_frame,
+                    _quiet, _require_finite, susceptibility)
 
 # noise channels: thermal force on phonon/magnon at +w, conjugate partner at -w
 R_PLUS, R_MINUS, M_PLUS, M_MINUS = "r+", "r-", "m+", "m-"
@@ -148,8 +148,7 @@ def _psd(config, omega, strength_tm, strength_te, det_tm, det_te, responses, cha
     det, pieces = _eliminate(config, omega, strength_tm, strength_te, det_tm, det_te, responses)
     power = sum(gamma * _abs2(a) * _abs2(b) for (gamma, a, b), ch in zip(pieces, _CHANNEL_ORDER)
                 if ch in channels) / _abs2(det)
-    if not _finite(power):
-        raise NumericsError("PSD evaluated non-finite")
+    _require_finite("PSD evaluated non-finite", (power,), dict(detuning_tm=det_tm, detuning_te=det_te, omega=omega))
     return power
 
 

@@ -273,9 +273,9 @@ def test_criterion_7_loop_transport_and_chirality():
     for first, second in (("fig6a", "fig6b"), ("fig6c", "fig6d")):
         report = chirality_report(trajs[first], trajs[second],
                                   align_shift=trajs[first].loop.samples // 2)
-        clauses.append((report.max_aligned_difference > 0.05,
+        clauses.append((report["max_aligned_difference"] > 0.05,
                         f"{first} vs {second}: max aligned fraction difference "
-                        f"{report.max_aligned_difference:.4f} exceeds 0.05"))
+                        f"{report['max_aligned_difference']:.4f} exceeds 0.05"))
 
     loop_c, cfg_c = _loop_from_preset("fig6c")
     tighter = evolve(loop_c, cfg_c, rtol=1e-10)

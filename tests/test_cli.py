@@ -573,7 +573,7 @@ def test_table_json_is_the_encoders_text_and_csv_the_cell_text(tmp_path):
              "axis": GridAxis(np.array([-0.0, 0.5]), repeat=4)}
     spec = cli.RunSpec("coupling", None, get_preset("fig5").config, {}, str(tmp_path / "t"), ("csv", "json"))
     assert cli._write_table(spec, "", table, {"note": "x"}) == [spec.out_stem + ".csv", spec.out_stem + ".json"]
-    meta = cli._meta(spec, {"note": "x"})
+    meta = metadata_block(spec.command, spec.preset, spec.config, spec.run_params, {"note": "x"})
     rows = list(zip(*(np.asarray(col).tolist() for col in table.values())))
     with open(spec.out_stem + ".json") as fh:
         assert fh.read() == json.dumps({"metadata": meta, "data": {"columns": list(table), "rows": rows}},

@@ -1,3 +1,5 @@
+import json
+
 import numpy as np
 import pytest
 
@@ -184,6 +186,10 @@ def test_energy_fractions_rejects_dependent_basis():
     for state in ([np.nan, 1.0], [1.0, np.inf]):
         with pytest.raises(ConfigError, match="non-finite state"):
             energy_fractions(np.array([state]), (v_a, v_b))
+    # a non-finite basis is refused by name before det, which would warn and give nan fractions
+    for v_bad in (np.array([np.nan, 1.0]), np.array([np.inf, 1.0])):
+        with pytest.raises(ConfigError, match="supermode basis is not finite"):
+            energy_fractions([[1.0, 0.0]], (v_bad, np.array([0.0, 1.0])))
 
 
 def test_fractions_sum_to_one_and_states_unit_norm():
@@ -350,18 +356,34 @@ def test_chirality_report_identical_inputs_zero_metrics():
     loop, cfg = preset_loop("fig6a", samples=96, period=1e-5)
     traj = evolve(loop, cfg)
     rep = chirality_report(traj, traj)
-    assert rep.final_fraction_difference == 0
-    assert rep.max_aligned_difference == 0
-    assert rep.amplitude_first == rep.amplitude_second
-    assert rep.duration_first == rep.duration_second
+    assert rep["final_fraction_difference"] == 0
+    assert rep["max_aligned_difference"] == 0
+    first, second = rep["oscillation"]["first"], rep["oscillation"]["second"]
+    assert first["amplitude"] == second["amplitude"]
+    assert first["duration_phase"] == second["duration_phase"]
 
 
 def test_chirality_report_alignment_only_affects_pointwise_metric():
     loop, cfg = preset_loop("fig6a", samples=96, period=1e-5)
     traj = evolve(loop, cfg)
     rep = chirality_report(traj, traj, align_shift=48)
-    assert rep.final_fraction_difference == 0  # finals compared unrolled
-    assert rep.max_aligned_difference > 0  # rolled series differs pointwise
+    assert rep["final_fraction_difference"] == 0  # finals compared unrolled
+    assert rep["max_aligned_difference"] > 0  # rolled series differs pointwise
+
+
+@pytest.mark.parametrize("fmt", ["csv", "json"])
+def test_chirality_record_is_what_encircle_writes_once_and_last(tmp_path, capsys, fmt):
+    stem = str(tmp_path / "loop")
+    assert cli.main(["encircle", "--preset", "fig6a", "--out", stem, "--format", fmt, "--set", "loop.samples=64",
+                     "--set", "loop.period=1e-6", "--set", "rtol=1e-6"]) == 0
+    # the trajectories as --format asks, then the chirality JSON whatever it asks
+    paths = [f"{stem}.{fmt}", f"{stem}_reverse.{fmt}", f"{stem}_chirality.json"]
+    assert capsys.readouterr().out.splitlines() == [f"wrote {path}" for path in paths]
+    assert sorted(str(p) for p in tmp_path.iterdir()) == sorted(paths)
+    loop, cfg = preset_loop("fig6a", samples=64, period=1e-6)
+    with open(paths[-1]) as fh:
+        data = json.load(fh)["data"]
+    assert data == chirality_report(*evolve_both_directions(loop, cfg, rtol=1e-6), align_shift=32)
 
 
 def test_chirality_report_rejects_mismatched_sampling():

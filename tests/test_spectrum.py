@@ -211,3 +211,14 @@ def test_overflowing_drive_raises_numerics_error_on_every_route():
             psd(omega, cfg)
     with pytest.raises(NumericsError, match="near-singular: condition number nan"):
         psd_map(cfg, [0.9e9, 1e9], [-1e7, 0.0])
+    # at 1e70 the system passes the conditioning test and the PSD's squared products overflow: a grid names
+    # the first bad cell, as _eliminate does, and a point keeps the bare message, as ep's points do
+    cfg = get_preset("fig4a").config.with_strengths(tm=1e70, te=1e70)
+    with pytest.raises(NumericsError, match=r"^PSD evaluated non-finite$"):
+        psd(1e9, cfg)
+    with pytest.raises(NumericsError, match=r"^PSD evaluated non-finite at detuning_tm 0.0, detuning_te 0.0, "
+                                            r"omega 900000000.0$"):
+        psd(np.array([0.9e9, 1e9]), cfg)
+    with pytest.raises(NumericsError, match=r"^PSD evaluated non-finite at detuning_tm 0.0, "
+                                            r"detuning_te -10000000.0, omega 900000000.0$"):
+        psd_map(cfg, [0.9e9, 1e9], [-1e7, 0.0])
