@@ -29,9 +29,9 @@ import numpy as np
 from . import encircle as enc
 from . import ep, output, presets, self_energy, spectrum
 from .errors import ConfigError, NumericsError
-from .model import SystemConfig, _count, _number, effective_couplings
+from .model import _LAYOUT, SystemConfig, _count, _number, effective_couplings
 
-CONFIG_PREFIXES = ("tm_photon.", "te_photon.", "magnon.", "phonon.", "drive_tm.", "drive_te.")
+CONFIG_PREFIXES = tuple(f"{prefix}." for prefix in _LAYOUT)  # --set keys that SystemConfig.from_dict applies
 
 # run-parameter allowlist per command; dotted keys address nested maps
 RUN_KEYS = {
@@ -111,6 +111,7 @@ def make_runspec(args) -> RunSpec:
     optional; a bare config mapping (with a "modes" key) is also accepted.
     --set takes KEY=VALUE strings addressing documented keys. The file's run
     keys and --set's pass one check: an unknown key is rejected with its name.
+    --set's config keys go to SystemConfig.from_dict, which checks them too.
     """
     command = args.command
     if args.preset is not None:
@@ -124,7 +125,7 @@ def make_runspec(args) -> RunSpec:
         base_name, trim = DEFAULT_BASE[command]
         base = presets.get_preset(base_name)
     config_dict, run_params = base.config.to_dict(), copy.deepcopy({**base.run_params, **trim})
-    run_items = []  # (key, value), the file's first so that --set overrides it
+    config_items, run_items = [], []  # (key, value), the file's run items first so that --set overrides them
     if args.config is not None:
         try:
             with open(args.config) as fh:
@@ -143,7 +144,7 @@ def make_runspec(args) -> RunSpec:
                 raise ConfigError(f"unknown top-level config-file keys: {sorted(unknown)}")
             if "config" in loaded:
                 config_dict = loaded["config"]
-            run_section = loaded.get("run") or {}
+            run_section = loaded.get("run", {})
             if not isinstance(run_section, dict):
                 raise ConfigError(f"config-file 'run' must map dotted run keys to values, got {run_section!r}")
             run_items += run_section.items()
@@ -153,22 +154,12 @@ def make_runspec(args) -> RunSpec:
         key, raw = item.split("=", 1)
         key = key.strip()
         value = _parse_value(raw.strip())
-        if key.startswith(CONFIG_PREFIXES):
-            section, field_name = key.split(".", 1)
-            branch = "drives" if section.startswith("drive_") else "modes"
-            name = section.replace("drive_", "") if branch == "drives" else section
-            try:
-                config_dict[branch][name][field_name]
-            except (KeyError, TypeError):  # TypeError: the file's entry is not a mapping
-                raise ConfigError(f"unknown config key {key!r}") from None
-            config_dict[branch][name][field_name] = value
-        else:
-            run_items.append((key, value))
+        (config_items if key.startswith(CONFIG_PREFIXES) else run_items).append((key, value))
     for key, value in run_items:
         if key not in RUN_KEYS[command]:
             raise ConfigError(f"unknown run key {key!r} for command {command!r}")
         _set_nested(run_params, key, value)
-    config = SystemConfig.from_dict(config_dict)
+    config = SystemConfig.from_dict(config_dict, config_items)
     formats = tuple(f.strip() for f in args.format.split(",") if f.strip())
     bad = set(formats) - {"csv", "json"}
     if bad or not formats:

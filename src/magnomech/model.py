@@ -16,7 +16,7 @@ from __future__ import annotations
 import cmath
 import contextlib
 import math
-from dataclasses import dataclass, replace
+from dataclasses import dataclass, fields, replace
 
 import numpy as np
 
@@ -67,7 +67,7 @@ class OscillatorMode:
     def __post_init__(self):
         if self.label not in MODE_LABELS:
             raise ConfigError(f"OscillatorMode.label must be one of {MODE_LABELS}, got {self.label!r}")
-        for name in ("omega", "gamma", "gamma_ext"):  # stored as Python floats, also when given numpy scalars
+        for name in _FIELDS[OscillatorMode]:  # stored as Python floats, also when given numpy scalars
             object.__setattr__(self, name, _number(f"OscillatorMode.{name}", getattr(self, name)))
         if not self.gamma > 0:
             raise ConfigError(f"OscillatorMode.gamma must be positive, got {self.gamma!r}")
@@ -98,10 +98,22 @@ class PumpDrive:
     def __post_init__(self):
         if self.target not in (TM_PHOTON, TE_PHOTON):
             raise ConfigError(f"PumpDrive.target must be an optical mode, got {self.target!r}")
-        for name in ("detuning", "effective_strength"):  # stored as Python floats, like OscillatorMode's
+        for name in _FIELDS[PumpDrive]:  # stored as Python floats, like OscillatorMode's
             object.__setattr__(self, name, _number(f"PumpDrive.{name}", getattr(self, name)))
         if not self.effective_strength >= 0:
             raise ConfigError(f"PumpDrive.effective_strength must be >= 0, got {self.effective_strength!r}")
+
+
+# The config layout, written once: each entry's override prefix, which is its SystemConfig attribute, its section
+# and name in to_dict's mapping, its class, and its first field (label or target) with the value it holds. _FIELDS
+# reads each class's numbers, the fields after that first one, off the dataclass, in to_dict's order.
+_LAYOUT = {**{label: ("modes", label, OscillatorMode, ("label", label)) for label in MODE_LABELS},
+           "drive_tm": ("drives", "tm", PumpDrive, ("target", TM_PHOTON)),
+           "drive_te": ("drives", "te", PumpDrive, ("target", TE_PHOTON))}
+_FIELDS = {kind: tuple(f.name for f in fields(kind)[1:]) for kind in (OscillatorMode, PumpDrive)}
+_KEYS = {f"{prefix}.{name}" for prefix, (_, _, kind, _) in _LAYOUT.items() for name in _FIELDS[kind]}
+_PLACES = {f"{section}.{name}" for section, name, _, _ in _LAYOUT.values()}
+_SECTIONS = {section for section, _, _, _ in _LAYOUT.values()}
 
 
 @dataclass(frozen=True)
@@ -116,64 +128,59 @@ class SystemConfig:
     drive_te: PumpDrive
 
     def __post_init__(self):
-        for attr in MODE_LABELS:
-            mode = getattr(self, attr)
-            if mode.label != attr:
-                raise ConfigError(f"SystemConfig.{attr} holds a mode labeled {mode.label!r}")
-        if self.drive_tm.target != TM_PHOTON:
-            raise ConfigError("SystemConfig.drive_tm must target the tm_photon mode")
-        if self.drive_te.target != TE_PHOTON:
-            raise ConfigError("SystemConfig.drive_te must target the te_photon mode")
+        for attr, (_, _, kind, (first, held)) in _LAYOUT.items():  # each mode and drive in its own slot
+            entry = getattr(self, attr)
+            if not isinstance(entry, kind) or getattr(entry, first) != held:
+                raise ConfigError(f"SystemConfig.{attr} takes the {kind.__name__} with {first} {held!r}, got {entry!r}")
 
     # sweep helpers; frozen dataclasses so these return fresh bundles
     def with_drive_detunings(self, tm=None, te=None):
-        cfg = self
-        if tm is not None:
-            cfg = replace(cfg, drive_tm=replace(cfg.drive_tm, detuning=tm))
-        if te is not None:
-            cfg = replace(cfg, drive_te=replace(cfg.drive_te, detuning=te))
-        return cfg
+        return self._with_drives("detuning", tm, te)
 
     def with_strengths(self, tm=None, te=None):
-        cfg = self
-        if tm is not None:
-            cfg = replace(cfg, drive_tm=replace(cfg.drive_tm, effective_strength=tm))
-        if te is not None:
-            cfg = replace(cfg, drive_te=replace(cfg.drive_te, effective_strength=te))
-        return cfg
+        return self._with_drives("effective_strength", tm, te)
+
+    def _with_drives(self, name, tm, te):
+        drives = {attr: replace(getattr(self, attr), **{name: value})
+                  for attr, value in (("drive_tm", tm), ("drive_te", te)) if value is not None}
+        return replace(self, **drives) if drives else self
 
     def to_dict(self):
-        def mode_dict(m):
-            return {"omega": m.omega, "gamma": m.gamma, "gamma_ext": m.gamma_ext}
-
-        return {
-            "modes": {attr: mode_dict(getattr(self, attr)) for attr in MODE_LABELS},
-            "drives": {
-                "tm": {"detuning": self.drive_tm.detuning, "effective_strength": self.drive_tm.effective_strength},
-                "te": {"detuning": self.drive_te.detuning, "effective_strength": self.drive_te.effective_strength},
-            },
-        }
+        tree = {}
+        for prefix, (section, name, kind, _) in _LAYOUT.items():
+            entry = getattr(self, prefix)
+            tree.setdefault(section, {})[name] = {field: getattr(entry, field) for field in _FIELDS[kind]}
+        return tree
 
     @classmethod
-    def from_dict(cls, data):
-        def fields(section, name):  # each value named by its override key: magnon.omega, drive_tm.detuning
-            entry, key = data[section][name], name if section == "modes" else f"drive_{name}"
-            if not isinstance(entry, dict):
-                raise ConfigError(f"config entry '{section}.{name}' must be a mapping, got {entry!r}")
-            return {k: _number(f"{key}.{k}", v) for k, v in entry.items()}
+    def from_dict(cls, data, overrides=()):
+        """The config of to_dict's mapping data, with overrides: (key, value) pairs such as ("magnon.gamma_ext", 1e6).
 
-        known = {"modes": MODE_LABELS, "drives": ("tm", "te")}
+        Each value is named by its override key, so an override may supply a field that data omits. One ConfigError
+        lists every key of data or overrides that names no section, entry or field, before any value is read.
+        """
+        values = {}
         try:
-            modes = {attr: OscillatorMode(label=attr, **fields("modes", attr)) for attr in MODE_LABELS}
-            drives = {f"drive_{name}": PumpDrive(target=target, **fields("drives", name))
-                      for name, target in (("tm", TM_PHOTON), ("te", TE_PHOTON))}
+            for prefix, (section, name, _, _) in _LAYOUT.items():
+                entry = data[section][name]
+                if not isinstance(entry, dict):
+                    raise ConfigError(f"config entry '{section}.{name}' must be a mapping, got {entry!r}")
+                values.update((f"{prefix}.{field}", value) for field, value in entry.items())
         except (KeyError, TypeError) as exc:
             raise ConfigError(f"malformed config mapping: {exc}") from exc
-        unknown = sorted(set(data) - set(known)) + sorted(
-            f"{section}.{name}" for section, names in known.items() for name in data[section] if name not in names)
+        values.update(overrides)
+        unknown = sorted(({*data} - _SECTIONS) | ({f"{s}.{name}" for s in _SECTIONS for name in data[s]} - _PLACES)
+                         | (values.keys() - _KEYS))
         if unknown:
             raise ConfigError(f"unknown config keys: {unknown}")
-        return cls(**modes, **drives)
+        entries = {}
+        try:  # a TypeError names a field that neither data nor overrides supplies
+            for prefix, (_, _, kind, (first, held)) in _LAYOUT.items():
+                entries[prefix] = kind(**{first: held}, **{field: _number(key, values[key]) for field in _FIELDS[kind]
+                                                           if (key := f"{prefix}.{field}") in values})
+        except TypeError as exc:
+            raise ConfigError(f"malformed config mapping: {exc}") from exc
+        return cls(**entries)
 
 
 @dataclass(frozen=True)

@@ -103,8 +103,9 @@ def _eliminate(config, omega, strength_tm, strength_te, det_tm, det_te, response
     coefficient into b[w] is -i sqrt(gamma) a b / det M. The caller passes responses = _responses(config, omega),
     so a map evaluates them once for all rows. With D = chi_r - chi_r~: M00 = inv + |g_b|^2 D + g_a^2 chi_m,
     M01 = g_b^2 D, M10 = -conj(g_b)^2 D and M11 = inv_ref - |g_b|^2 D + conj(g_a)^2 chi_m~. Every gamma > 0
-    keeps the eliminated block regular, so A is near-singular exactly when M is, by
-    ||M||_F^2 / |det M| = ||M||_F ||M^-1||_F > _COND_LIMIT, which raises NumericsError naming the first such cell.
+    keeps the eliminated block regular, so A and M are singular together; their condition numbers differ (fig4a at
+    1 GHz: from strengths of about 1e26 cond(A) > 1e16, M well conditioned). NumericsError names the first cell where
+    ||M||_F^2 / |det M| = ||M||_F ||M^-1||_F > _COND_LIMIT, or where ||M||_F^2 overflows.
     Scalars and arrays take the same steps through _mul and susceptibility: a grid cell rounds like its point.
     """
     g_a, g_b, inv, inv_ref = _pump_frame(config, strength_tm, strength_te, det_tm, det_te, omega)
@@ -118,7 +119,7 @@ def _eliminate(config, omega, strength_tm, strength_te, det_tm, det_te, response
     m11 = inv_ref - gb2_d + _mul(_mul(g_a_ref, g_a_ref), chi_m_ref)
     det = _mul(m00, m11) + _mul(gb2_d, gb2_d)  # M01 M10 = -(|g_b|^2 D)^2
     frob2 = _abs2(m00) + 2 * _abs2(m01) + _abs2(m11)  # |M10| = |M01|
-    if not _every(_abs(det) * _COND_LIMIT >= frob2):  # false also where either is nan
+    if not _every((_abs(det) * _COND_LIMIT >= frob2) & (frob2 < math.inf)):  # false where nan, or ||M||_F^2 is inf
         with np.errstate(all="ignore"):
             cond = np.divide(frob2, _abs(det))
         raise NumericsError("(b, b~) system near-singular: condition number {:.3e} at detuning_tm {!r}, "

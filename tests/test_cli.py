@@ -5,6 +5,7 @@ import os
 import subprocess
 import sys
 import warnings
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -359,9 +360,11 @@ def test_unknown_config_file_key_exits_2(tmp_path, capsys):
     path.write_text(json.dumps({"config": get_preset("fig5").config.to_dict(), "extra": 1}))
     assert cli.main(["coupling", "--config", str(path)]) == 2
     assert "extra" in json.loads(capsys.readouterr().err)["error"]["message"]
-    path.write_text(json.dumps({"run": ["omega_grid"]}))  # a run section that is no mapping
-    assert cli.main(["spectrum", "--preset", "fig4a", "--config", str(path), "--out", str(tmp_path / "x")]) == 2
-    assert "'run' must map" in json.loads(capsys.readouterr().err)["error"]["message"]
+    for run in (["omega_grid"], [], 0, False, "", None):  # a run section that is no mapping, empty or not
+        path.write_text(json.dumps({"run": run}))
+        assert cli.main(["spectrum", "--preset", "fig4a", "--config", str(path), "--out", str(tmp_path / "x")]) == 2
+        message = json.loads(capsys.readouterr().err)["error"]["message"]
+        assert message == f"config-file 'run' must map dotted run keys to values, got {run!r}"
 
 
 def _config_error_only(tmp_path, capsys, argv):
@@ -389,12 +392,46 @@ def test_config_file_nested_entry_errors_exit_2(tmp_path, capsys):
     for edit, argv, expected in (
             (lambda d: d["modes"].update(magnon=5), [], "config entry 'modes.magnon' must be a mapping, got 5"),
             (lambda d: d["drives"].update(xx={}), [], "unknown config keys: ['drives.xx']"),
-            (lambda d: d["modes"].update(magnon=5), ["--set", "magnon.omega=1e9"], "unknown config key 'magnon.omega'")):
+            (lambda d: d["modes"].update(magnon=5), ["--set", "magnon.omega=1e9"],
+             "config entry 'modes.magnon' must be a mapping, got 5"),
+            # an unknown field name gets one message, whether the file or --set names it
+            (lambda d: d["modes"]["magnon"].update(omegax=1), [], "unknown config keys: ['magnon.omegax']"),
+            (lambda d: None, ["--set", "magnon.omegax=1"], "unknown config keys: ['magnon.omegax']"),
+            (lambda d: None, ["--set", "drive_tm.detunin=1"], "unknown config keys: ['drive_tm.detunin']"),
+            (lambda d: d["modes"]["magnon"].update(omegax=1), ["--set", "drive_tm.detunin=1"],
+             "unknown config keys: ['drive_tm.detunin', 'magnon.omegax']")):
         payload = get_preset("fig5").config.to_dict()
         edit(payload)
         path.write_text(json.dumps(payload))
         argv = ["coupling", "--config", str(path), "--out", str(tmp_path / "x"), *argv]
         assert _config_error_only(tmp_path, capsys, argv) == expected
+
+
+# every config key README's Overrides lists, with a value each field accepts on fig5
+_OVERRIDES = {"omega": 1.5e9, "gamma": 3e7, "gamma_ext": 1e6, "detuning": -4e6, "effective_strength": 5e11}
+
+
+@pytest.mark.parametrize("source", ["preset", "file without gamma_ext"])
+@pytest.mark.parametrize("key", [f"{mode}.{field}" for mode in ("tm_photon", "te_photon", "magnon", "phonon")
+                                 for field in ("omega", "gamma", "gamma_ext")]
+                         + [f"{drive}.{field}" for drive in ("drive_tm", "drive_te")
+                            for field in ("detuning", "effective_strength")])
+def test_set_config_key_gives_the_replaced_config(tmp_path, key, source):
+    # --set may supply a field the --config file omits, as it overrides one the preset holds
+    entry, field = key.split(".")
+    base = get_preset("fig5").config
+    argv = ["coupling", "--out", str(tmp_path / "x"), "--set", f"{key}={_OVERRIDES[field]!r}"]
+    if source == "preset":
+        argv += ["--preset", "fig5"]
+    else:
+        payload = base.to_dict()
+        for mode in payload["modes"].values():
+            del mode["gamma_ext"]
+        (tmp_path / "cfg.json").write_text(json.dumps(payload))
+        argv += ["--config", str(tmp_path / "cfg.json")]
+        base = replace(base, **{mode: replace(getattr(base, mode), gamma_ext=0.0) for mode in payload["modes"]})
+    spec = cli.make_runspec(cli.build_parser().parse_args(argv))
+    assert spec.config == replace(base, **{entry: replace(getattr(base, entry), **{field: _OVERRIDES[field]})})
 
 
 def test_out_into_a_missing_directory_exits_2_before_any_work(tmp_path, capsys):

@@ -221,6 +221,28 @@ def test_from_dict_rejects_unknown_keys():
         with pytest.raises(ConfigError) as info:
             SystemConfig.from_dict(payload)
         assert str(info.value) == message
+    # field names are checked by their override keys, whether data or overrides hold them, in one message
+    payload = build_config().to_dict()
+    payload["modes"]["magnon"]["omegax"] = 1.0
+    for data, overrides, keys in ((payload, (), ["magnon.omegax"]),
+                                  (build_config().to_dict(), [("magnon.omegax", 1)], ["magnon.omegax"]),
+                                  (build_config().to_dict(), [("drive_tm.detunin", 1)], ["drive_tm.detunin"]),
+                                  (payload, [("drive_tm.detunin", 1)], ["drive_tm.detunin", "magnon.omegax"])):
+        with pytest.raises(ConfigError) as info:
+            SystemConfig.from_dict(data, overrides)
+        assert str(info.value) == f"unknown config keys: {keys}"
+
+
+def test_from_dict_overrides_supply_and_replace_fields():
+    cfg = build_config()
+    payload = cfg.to_dict()
+    del payload["modes"]["magnon"]["omega"]
+    with pytest.raises(ConfigError) as info:  # a field that nothing supplies
+        SystemConfig.from_dict(payload)
+    assert str(info.value) == ("malformed config mapping: OscillatorMode.__init__() missing 1 required positional "
+                               "argument: 'omega'")
+    again = SystemConfig.from_dict(payload, [("magnon.omega", cfg.magnon.omega), ("drive_te.detuning", -1e7)])
+    assert again == cfg.with_drive_detunings(te=-1e7)
 
 
 def test_sweep_helpers_leave_other_fields_untouched():

@@ -197,20 +197,22 @@ def test_weak_drive_two_band_structure():
 
 
 def test_overflowing_drive_raises_numerics_error_on_every_route():
-    # both strengths 1e200: |g_b|^2 overflows to inf in Python floats instead of raising OverflowError
-    cfg = get_preset("fig4a").config.with_strengths(tm=1e200, te=1e200)
-    # the closed form reads psd's elimination, so it names the cell as psd does
-    with pytest.raises(NumericsError, match=r"\(b, b~\) system near-singular: condition number nan at "
-                                            r"detuning_tm 0.0, detuning_te 0.0, omega 1000000000.0"):
-        closed_form_response(1e9, cfg)
-    with pytest.raises(NumericsError, match="frequency-domain system near-singular"):
-        linear_system_response(1e9, cfg)
-    # the scalar and grid PSD report the cell, without numpy overflow warnings on the way
-    for omega in (1e9, np.array([0.9e9, 1e9])):
-        with pytest.raises(NumericsError, match="near-singular: condition number nan at detuning_tm 0.0"):
-            psd(omega, cfg)
-    with pytest.raises(NumericsError, match="near-singular: condition number nan"):
-        psd_map(cfg, [0.9e9, 1e9], [-1e7, 0.0])
+    # both strengths 1e200: |g_b|^2 overflows to inf in Python floats instead of raising OverflowError.
+    # At 1e85 det M and ||M||_F^2 both overflow, and inf * _COND_LIMIT >= inf must not pass the check.
+    for strength in (1e200, 1e85):
+        cfg = get_preset("fig4a").config.with_strengths(tm=strength, te=strength)
+        # the closed form reads psd's elimination, so it names the cell as psd does
+        with pytest.raises(NumericsError, match=r"\(b, b~\) system near-singular: condition number nan at "
+                                                r"detuning_tm 0.0, detuning_te 0.0, omega 1000000000.0"):
+            closed_form_response(1e9, cfg)
+        with pytest.raises(NumericsError, match="frequency-domain system near-singular"):
+            linear_system_response(1e9, cfg)
+        # the scalar and grid PSD report the cell, without numpy overflow warnings on the way
+        for omega in (1e9, np.array([0.9e9, 1e9])):
+            with pytest.raises(NumericsError, match="near-singular: condition number nan at detuning_tm 0.0"):
+                psd(omega, cfg)
+        with pytest.raises(NumericsError, match="near-singular: condition number nan"):
+            psd_map(cfg, [0.9e9, 1e9], [-1e7, 0.0])
     # at 1e70 the system passes the conditioning test and the PSD's squared products overflow: a grid names
     # the first bad cell, as _eliminate does, and a point keeps the bare message, as ep's points do
     cfg = get_preset("fig4a").config.with_strengths(tm=1e70, te=1e70)
