@@ -8,6 +8,10 @@ Commands
 . find-ep      exceptional-point search only (JSON)
 . encircle     loop transport, the reversed twin and a chirality report
 
+Each command takes its own presets; coupling takes any, and find-ep the
+surface presets too. With no --preset a command runs its default base, a
+preset with trimmed grids.
+
 Exit codes: 0 success, 2 configuration error, 3 numeric failure.
 Outputs are deterministic: rerunning a command line reproduces the data
 sections byte for byte. --jobs is validated (at least 1) and kept for
@@ -33,28 +37,6 @@ from .model import _LAYOUT, SystemConfig, _count, _number, effective_couplings
 
 CONFIG_PREFIXES = tuple(f"{prefix}." for prefix in _LAYOUT)  # --set keys that SystemConfig.from_dict applies
 
-# run-parameter allowlist per command; dotted keys address nested maps
-RUN_KEYS = {
-    "coupling": set(),
-    "self-energy": {"diagonal", "tm_grid", "te_grid", "parts"},
-    "spectrum": {"swept", "omega_grid", "detuning_grid", "noise.channels"},
-    "surface": {"p_grid", "delta_grid", "region", "seeds_per_axis", "tie"},
-    "find-ep": {"region", "seeds_per_axis", "tie"},
-    "encircle": {"loop.center_p", "loop.center_delta", "loop.radius_p", "loop.radius_delta",
-                 "loop.direction", "loop.period", "loop.start_phase", "loop.samples", "tie", "rtol"},
-}
-
-# fallback preset per command when the user names none; grids trimmed for speed
-DEFAULT_BASE = {
-    "coupling": ("fig5", {}),
-    "self-energy": ("fig2c", {"tm_grid": [-1e8, 1e8, 41], "te_grid": [-1e8, 1e8, 41]}),
-    "spectrum": ("fig4a", {"omega_grid": [0.4e9, 2.0e9, 121], "detuning_grid": [-3e7, 1e7, 41]}),
-    "surface": ("fig5", {"p_grid": [0.05e12, 1.5e12, 72], "delta_grid": [-6e7, 1e7, 56]}),
-    "find-ep": ("fig5", {"seeds_per_axis": 16}),
-    "encircle": ("fig6c", {}),
-}
-
-
 @dataclass
 class RunSpec:
     command: str
@@ -69,7 +51,7 @@ def build_parser():
     parser = argparse.ArgumentParser(prog="magnomech", description=__doc__,
                                      formatter_class=argparse.RawDescriptionHelpFormatter)
     sub = parser.add_subparsers(dest="command", required=True)
-    for name in ("coupling", "self-energy", "spectrum", "surface", "find-ep", "encircle"):
+    for name in COMMANDS:
         p = sub.add_parser(name)
         p.add_argument("--preset", default=None, help="named parameter preset (fig2a..fig6d)")
         p.add_argument("--config", default=None, help="JSON config file; see README schema")
@@ -82,9 +64,6 @@ def build_parser():
     return parser
 
 
-_PARSER = build_parser()  # parsing leaves it unchanged, so main shares one per process
-
-
 def _parse_value(raw: str):
     if raw.count(":") == 2 and "{" not in raw:  # lo:hi:n, checked where the grid is read
         return [_parse_value(part) for part in raw.split(":")]
@@ -95,17 +74,14 @@ def _parse_value(raw: str):
 
 
 def _set_nested(tree, dotted, value):
-    parts = dotted.split(".")
-    node = tree
-    for part in parts[:-1]:
-        node = node.setdefault(part, {})
-        if not isinstance(node, dict):
-            raise ConfigError(f"override key {dotted!r} conflicts with a scalar entry")
-    node[parts[-1]] = value
+    *parents, last = dotted.split(".")
+    for part in parents:
+        tree = tree.setdefault(part, {})
+    tree[last] = value
 
 
 def make_runspec(args) -> RunSpec:
-    """Read parsed arguments into a RunSpec, over --preset or else the command's DEFAULT_BASE.
+    """Read parsed arguments into a RunSpec, over --preset or else the command's default base in COMMANDS.
 
     The --config file holds {"config": {...}, "run": {...}}, either part
     optional; a bare config mapping (with a "modes" key) is also accepted.
@@ -114,15 +90,12 @@ def make_runspec(args) -> RunSpec:
     --set's config keys go to SystemConfig.from_dict, which checks them too.
     """
     command = args.command
+    _, run_keys, accepts, base_name, trim = COMMANDS[command]
     if args.preset is not None:
         base, trim = presets.get_preset(args.preset), {}
-        # coupling only reads the config; find-ep shares the surface presets
-        compatible = (base.command == command or command == "coupling"
-                      or (command == "find-ep" and base.command == "surface"))
-        if not compatible:
+        if accepts is not None and base.command not in accepts:
             raise ConfigError(f"preset {base.name!r} belongs to command {base.command!r}")
     else:
-        base_name, trim = DEFAULT_BASE[command]
         base = presets.get_preset(base_name)
     config_dict, run_params = base.config.to_dict(), copy.deepcopy({**base.run_params, **trim})
     config_items, run_items = [], []  # (key, value), the file's run items first so that --set overrides them
@@ -156,7 +129,7 @@ def make_runspec(args) -> RunSpec:
         value = _parse_value(raw.strip())
         (config_items if key.startswith(CONFIG_PREFIXES) else run_items).append((key, value))
     for key, value in run_items:
-        if key not in RUN_KEYS[command]:
+        if key not in run_keys:
             raise ConfigError(f"unknown run key {key!r} for command {command!r}")
         _set_nested(run_params, key, value)
     config = SystemConfig.from_dict(config_dict, config_items)
@@ -178,7 +151,7 @@ def make_runspec(args) -> RunSpec:
 
 def _linspace(triplet, name):
     try:
-        lo, hi, n = triplet
+        lo, hi, n = () if isinstance(triplet, str) else triplet  # a string would unpack into its characters
     except (TypeError, ValueError) as exc:
         raise ConfigError(f"{name} must be a [lo, hi, count] triplet, got {triplet!r}") from exc
     lo, hi, n = _number(f"{name} lo", lo), _number(f"{name} hi", hi), _count(f"{name} count", n, 1)
@@ -292,9 +265,9 @@ def _write_eps(spec, suffix, records, formats):
 def _run_surface(spec: RunSpec):
     run = spec.run_params
     tie = _flag(run, "tie")
-    records = _ep_records(spec, tie)  # before the surface: a malformed region costs no surface
-    p_grid = _linspace(run["p_grid"], "p_grid")
+    p_grid = _linspace(run["p_grid"], "p_grid")  # the grids are read before the EP search: a bad one costs none
     delta_grid = _linspace(run["delta_grid"], "delta_grid")
+    records = _ep_records(spec, tie)  # before the surface: a malformed region costs no surface
     ref = (spec.config.magnon.omega + spec.config.phonon.omega) / 2  # the resonators' midpoint
     surf = ep.riemann_surface(spec.config, p_grid, delta_grid, tie_tm_detuning=tie)
     table = {"p_in": output.GridAxis(surf.p_grid, repeat=surf.delta_grid.size),
@@ -342,18 +315,30 @@ def _run_encircle(spec: RunSpec):
     return written + _write_table(replace(spec, formats=("json",)), "_chirality", {}, json_data=lambda cells: report)
 
 
-_RUNNERS = {
-    "coupling": _run_coupling,
-    "self-energy": _run_self_energy,
-    "spectrum": _run_spectrum,
-    "surface": _run_surface,
-    "find-ep": _run_find_ep,
-    "encircle": _run_encircle,
+# Each command, written once and in the parser's order: (runner, run keys, accepted presets, default base preset,
+# default run parameters). Dotted run keys address nested maps. A command accepts the presets of the commands it
+# names, or with None any preset: coupling reads only the config, and find-ep shares the surface presets. With no
+# --preset a command runs its default base, whose grids the default run parameters trim for speed.
+COMMANDS = {
+    "coupling": (_run_coupling, (), None, "fig5", {}),
+    "self-energy": (_run_self_energy, ("diagonal", "tm_grid", "te_grid", "parts"), ("self-energy",),
+                    "fig2c", {"tm_grid": [-1e8, 1e8, 41], "te_grid": [-1e8, 1e8, 41]}),
+    "spectrum": (_run_spectrum, ("swept", "omega_grid", "detuning_grid", "noise.channels"), ("spectrum",),
+                 "fig4a", {"omega_grid": [0.4e9, 2.0e9, 121], "detuning_grid": [-3e7, 1e7, 41]}),
+    "surface": (_run_surface, ("p_grid", "delta_grid", "region", "seeds_per_axis", "tie"), ("surface",),
+                "fig5", {"p_grid": [0.05e12, 1.5e12, 72], "delta_grid": [-6e7, 1e7, 56]}),
+    "find-ep": (_run_find_ep, ("region", "seeds_per_axis", "tie"), ("find-ep", "surface"),
+                "fig5", {"seeds_per_axis": 16}),
+    "encircle": (_run_encircle, ("loop.center_p", "loop.center_delta", "loop.radius_p", "loop.radius_delta",
+                                 "loop.direction", "loop.period", "loop.start_phase", "loop.samples", "tie", "rtol"),
+                 ("encircle",), "fig6c", {}),
 }
+
+_PARSER = build_parser()  # parsing leaves it unchanged, so main shares one per process
 
 
 def run(spec: RunSpec) -> int:
-    written = _RUNNERS[spec.command](spec)
+    written = COMMANDS[spec.command][0](spec)
     for path in written:
         print(f"wrote {path}")
     return 0

@@ -311,11 +311,14 @@ def _pump_coupling(mode: OscillatorMode, detuning, strength):
     """Pump-enhanced coupling strength*sqrt(2 gamma_ext)/(gamma - i detuning), over broadcast arrays or at a point.
 
     A point is a Python complex computed in Python floats. _quotient divides by numpy's steps there,
-    so the point carries the bits of its grid cell. A non-finite coupling raises NumericsError.
+    so the point carries the bits of its grid cell. A non-finite coupling raises NumericsError naming the
+    pumped mode and the first bad cell's strength and detuning.
     """
     g = _quotient(strength, math.sqrt(2 * mode.gamma_ext), -1j * detuning + mode.gamma)
     if not _finite(g):
-        raise NumericsError("effective coupling evaluated non-finite; check drive and damping values")
+        raise NumericsError("effective coupling evaluated non-finite for the {} pump at effective_strength {!r}, "
+                            "detuning {!r}; check drive and damping values".format(
+                                mode.label, *_at_first(~np.isfinite(g), strength, detuning)))
     return g
 
 

@@ -145,10 +145,19 @@ def closed_form_response(omega, config: SystemConfig):
 
 
 def _psd(config, omega, strength_tm, strength_te, det_tm, det_te, responses, channels):
-    """PSD over broadcast omega and drive axes: the channel sum of gamma |a|^2 |b|^2 / |det M|^2 from _eliminate."""
+    """PSD over broadcast omega and drive axes: the channel sum of gamma |a|^2 |b|^2 / |det M|^2 from _eliminate.
+
+    Before squaring, det M and every b are multiplied by 2^-e per cell, e the frexp exponent of
+    max(|Re det M|, |Im det M|) floored at -1023 so that 2^-e is a float, and neither square overflows where the
+    PSD is finite. Scaling by a power of two is exact, so no bit moves where nothing overflowed.
+    """
     det, pieces = _eliminate(config, omega, strength_tm, strength_te, det_tm, det_te, responses)
-    power = sum(gamma * _abs2(a) * _abs2(b) for (gamma, a, b), ch in zip(pieces, _CHANNEL_ORDER)
-                if ch in channels) / _abs2(det)
+    if isinstance(det, np.ndarray):
+        scale = np.ldexp(1.0, -np.maximum(np.frexp(np.maximum(np.abs(det.real), np.abs(det.imag)))[1], -1023))
+    else:
+        scale = math.ldexp(1.0, -max(math.frexp(max(abs(det.real), abs(det.imag)))[1], -1023))
+    power = sum(gamma * _abs2(a) * _abs2(b * scale) for (gamma, a, b), ch in zip(pieces, _CHANNEL_ORDER)
+                if ch in channels) / _abs2(det * scale)
     _require_finite("PSD evaluated non-finite", (power,), dict(detuning_tm=det_tm, detuning_te=det_te, omega=omega))
     return power
 

@@ -12,7 +12,7 @@ import pytest
 
 from magnomech import cli
 from magnomech.ep import eigenpairs, hamiltonian_on_plane
-from magnomech.errors import NumericsError
+from magnomech.errors import ConfigError, NumericsError
 from magnomech.model import effective_couplings
 from magnomech.output import (GridAxis, config_hash, data_section, format_column, json_cells, json_rows,
                               metadata_block, write_csv, write_json)
@@ -471,7 +471,7 @@ def test_numerics_error_exits_3(tmp_path, monkeypatch, capsys):
     def boom(spec):
         raise NumericsError("synthetic instability")
 
-    monkeypatch.setitem(cli._RUNNERS, "coupling", boom)
+    monkeypatch.setitem(cli.COMMANDS, "coupling", (boom, *cli.COMMANDS["coupling"][1:]))
     assert cli.main(["coupling", "--preset", "fig5", "--out", str(tmp_path / "x")]) == 3
     err = json.loads(capsys.readouterr().err)
     assert err["error"]["type"] == "numeric"
@@ -513,11 +513,24 @@ def test_overflow_exits_3_with_no_artifact(tmp_path, capsys, argv, message):
     assert not list(tmp_path.iterdir())
 
 
+# by preset: the pumped mode, and the strength and detuning of the first cell whose coupling overflows
+_COUPLING_OVERFLOWS = {
+    "fig5": ("tm_photon", 1.7e308, -3e6),
+    "fig2b": ("tm_photon", 1.7e308, -1e8),
+    "fig2c": ("te_photon", 1e306, -1e8),
+    "fig4a": ("te_photon", 1e306, -3e7),
+    "fig6a": ("tm_photon", 1e306 + 1e300, -3e6),  # the loop's first sample, at start phase 0
+}
+
+
 @pytest.mark.parametrize("argv", [
     ["coupling", "--preset", "fig5", "--set", "drive_tm.effective_strength=1.7e308"],
     ["self-energy", "--preset", "fig2b", "--set", "drive_tm.effective_strength=1.7e308"],
     # an array of strengths whose last cell overflows the coupling's numerator
     ["surface", "--preset", "fig5", "--set", "p_grid=1e304:1.7e308:2", "--set", "delta_grid=-1e7:1e7:2"],
+    ["self-energy", "--preset", "fig2c", "--set", "drive_te.effective_strength=1e306"],
+    ["spectrum", "--preset", "fig4a", "--set", "drive_te.effective_strength=1e306"],
+    ["encircle", "--preset", "fig6a", "--set", "loop.center_p=1e306", "--set", "loop.radius_p=1e300"],
 ])
 def test_overflowing_coupling_exits_3_with_only_the_json_error(tmp_path, capsys, argv):
     # under warnings as errors, no overflow warning may pre-empt the error or print above it
@@ -527,8 +540,10 @@ def test_overflowing_coupling_exits_3_with_only_the_json_error(tmp_path, capsys,
     assert code == 3
     err = capsys.readouterr().err
     assert err.count("\n") == 1
-    assert json.loads(err)["error"] == {"type": "numeric", "message": "effective coupling evaluated non-finite; "
-                                                                      "check drive and damping values"}
+    mode, strength, detuning = _COUPLING_OVERFLOWS[argv[2]]
+    message = (f"effective coupling evaluated non-finite for the {mode} pump at effective_strength {strength!r}, "
+               f"detuning {detuning!r}; check drive and damping values")
+    assert json.loads(err)["error"] == {"type": "numeric", "message": message}
     assert not list(tmp_path.iterdir())
 
 
@@ -537,12 +552,33 @@ def test_grid_triplet_parsing():
     assert cli._parse_value("true") is True
     assert cli._parse_value("[1, 2]") == [1, 2]
     assert cli._parse_value("TE") == "TE"
+    # a string is no triplet, even one of three characters
+    with pytest.raises(ConfigError) as info:
+        cli._linspace(cli._parse_value("abc"), "p_grid")
+    assert str(info.value) == "p_grid must be a [lo, hi, count] triplet, got 'abc'"
+
+
+@pytest.mark.parametrize("override, message", [
+    ("p_grid=abc", "p_grid must be a [lo, hi, count] triplet, got 'abc'"),
+    ("delta_grid=[1,2]", "delta_grid must be a [lo, hi, count] triplet, got [1, 2]"),
+], ids=["p_grid", "delta_grid"])
+def test_surface_reads_its_grids_before_the_ep_search(tmp_path, capsys, monkeypatch, override, message):
+    monkeypatch.setattr(cli.ep, "find_exceptional_points", lambda *args: pytest.fail("EP search ran"))
+    argv = ["surface", "--preset", "fig5", "--out", str(tmp_path / "s"), "--set", override]
+    assert _config_error_only(tmp_path, capsys, argv) == message
 
 
 def test_every_preset_is_reachable():
     for name, preset in REGISTRY.items():
-        assert preset.command in cli._RUNNERS
+        assert preset.command in cli.COMMANDS[preset.command][2]  # its own command accepts it
         assert get_preset(name) is preset
+
+
+def test_command_table_drives_the_parser_and_default_bases():
+    assert list(cli.COMMANDS) == ["coupling", "self-energy", "spectrum", "surface", "find-ep", "encircle"]
+    assert "{coupling,self-energy,spectrum,surface,find-ep,encircle}" in cli._PARSER.format_usage()
+    for command, (_, _, accepts, base, _) in cli.COMMANDS.items():
+        assert accepts is None or get_preset(base).command in accepts, command
 
 
 # --- artifact layer -------------------------------------------------------

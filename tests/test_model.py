@@ -71,6 +71,17 @@ def test_effective_coupling_detuned_phase():
     assert abs(g_a) == pytest.approx(1e12 * np.sqrt(2e7) / abs(denom), rel=1e-14)
 
 
+@pytest.mark.parametrize("strengths, mode, detuning", [
+    (dict(strength_tm=1.7e308), "tm_photon", "-3000000.0"),
+    (dict(strength_te=1.7e308), "te_photon", "-10000000.0"),
+], ids=["tm", "te"])
+def test_overflowing_coupling_names_its_pump_and_cell(strengths, mode, detuning):
+    with pytest.raises(NumericsError) as info:
+        effective_couplings(build_config(delta_tm=-3e6, delta_te=-1e7, **strengths))
+    assert str(info.value) == (f"effective coupling evaluated non-finite for the {mode} pump at effective_strength "
+                               f"1.7e+308, detuning {detuning}; check drive and damping values")
+
+
 def test_mode_validation_names_field():
     with pytest.raises(ConfigError, match="OscillatorMode.gamma"):
         OscillatorMode("magnon", 1e9, -2e7)

@@ -213,14 +213,14 @@ def test_overflowing_drive_raises_numerics_error_on_every_route():
                 psd(omega, cfg)
         with pytest.raises(NumericsError, match="near-singular: condition number nan"):
             psd_map(cfg, [0.9e9, 1e9], [-1e7, 0.0])
-    # at 1e70 the system passes the conditioning test and the PSD's squared products overflow: a grid names
-    # the first bad cell, as _eliminate does, and a point keeps the bare message, as ep's points do
-    cfg = get_preset("fig4a").config.with_strengths(tm=1e70, te=1e70)
-    with pytest.raises(NumericsError, match=r"^PSD evaluated non-finite$"):
-        psd(1e9, cfg)
-    with pytest.raises(NumericsError, match=r"^PSD evaluated non-finite at detuning_tm 0.0, detuning_te 0.0, "
-                                            r"omega 900000000.0$"):
-        psd(np.array([0.9e9, 1e9]), cfg)
-    with pytest.raises(NumericsError, match=r"^PSD evaluated non-finite at detuning_tm 0.0, "
-                                            r"detuning_te -10000000.0, omega 900000000.0$"):
-        psd_map(cfg, [0.9e9, 1e9], [-1e7, 0.0])
+
+
+@pytest.mark.parametrize("strength", [1e59, 1e70, 1e84])
+def test_psd_of_a_strong_drive_is_the_closed_form_channel_sum(strength):
+    # the system passes the conditioning test, and gamma |a|^2 |b|^2 and |det M|^2 would overflow unscaled
+    cfg = get_preset("fig4a").config.with_strengths(tm=strength, te=strength)
+    expected = sum(abs(c) ** 2 for c in closed_form_response(1e9, cfg).values())
+    point = psd(1e9, cfg)
+    assert type(point) is float and point == pytest.approx(expected, rel=1e-12)
+    assert psd(np.array([0.9e9, 1e9]), cfg)[1] == point
+    assert psd_map(cfg, [0.9e9, 1e9], [-1e7, 0.0])[1, 1] == point
